@@ -1,0 +1,78 @@
+"""The litmus sweep and the seeded mutants, pinned count for count.
+
+``tests/data/modelcheck/sweep-golden.json`` records, for every bundled
+litmus program under WI/PU/CU/HYBRID (the CLI's default sweep), the
+explorer's schedule, state, dedup-hit, choice-point and event counts
+and whether the search completed; and, for every seeded mutation, the
+violation kind and the minimized schedule.  A change to the state
+encoder, the explorer or the protocols that merges or splits states
+shows up here as a changed count.
+
+Regenerate (only when a count change is intended and explained)::
+
+    PYTHONPATH=src python tests/integration/test_modelcheck_sweep_golden.py \\
+        > tests/data/modelcheck/sweep-golden.json
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.config import Protocol
+from repro.modelcheck import MUTATIONS, PROGRAMS, explore, get_program
+
+GOLDEN = (Path(__file__).resolve().parents[1] / "data" / "modelcheck"
+          / "sweep-golden.json")
+SWEEP_PROTOCOLS = (Protocol.WI, Protocol.PU, Protocol.CU, Protocol.HYBRID)
+ROWS = [f"{name}/{proto.value}" for name in PROGRAMS
+        for proto in SWEEP_PROTOCOLS]
+
+
+def litmus_row(row: str) -> dict:
+    name, proto = row.split("/")
+    res = explore(get_program(name), protocol=Protocol(proto))
+    return {"schedules": res.schedules, "states": res.states,
+            "dedup_hits": res.dedup_hits,
+            "choice_points": res.choice_points, "events": res.events,
+            "complete": res.complete}
+
+
+def mutant_row(name: str) -> dict:
+    mut = MUTATIONS[name]
+    res = explore(get_program(mut.program), protocol=mut.protocol,
+                  mutation=name)
+    return {"violation": res.violation.kind if res.violation else None,
+            "choices": (list(res.choices) if res.choices is not None
+                        else None)}
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_row():
+    golden = _golden()
+    assert sorted(golden["litmus"]) == sorted(ROWS)
+    assert sorted(golden["mutants"]) == sorted(MUTATIONS)
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_litmus_row_matches_golden(row):
+    assert litmus_row(row) == _golden()["litmus"][row]
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutant_matches_golden(name):
+    assert mutant_row(name) == _golden()["mutants"][name]
+
+
+if __name__ == "__main__":
+    json.dump({"litmus": {row: litmus_row(row) for row in ROWS},
+               "mutants": {name: mutant_row(name)
+                           for name in sorted(MUTATIONS)}},
+              sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
