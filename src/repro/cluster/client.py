@@ -22,53 +22,13 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, Optional, Tuple
 
+from repro.service.httpio import (
+    close_writer, read_content, read_head, request_bytes,
+)
+
 #: stream buffer limit: one NDJSON line can carry a full RunRecord
 #: (network matrices included), so allow tens of MB
 STREAM_LIMIT = 32 << 20
-
-
-def request_bytes(method: str, path: str, host: str, port: int,
-                  body: Optional[bytes] = None,
-                  headers: Optional[Dict[str, str]] = None) -> bytes:
-    """Serialize one HTTP/1.1 request."""
-    head = [f"{method} {path} HTTP/1.1",
-            f"Host: {host}:{port}",
-            "Accept: */*"]
-    for name, value in (headers or {}).items():
-        head.append(f"{name}: {value}")
-    if body is not None:
-        head.append("Content-Type: application/json")
-        head.append(f"Content-Length: {len(body)}")
-    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") \
-        + (body or b"")
-
-
-async def read_head(reader: asyncio.StreamReader
-                    ) -> Tuple[int, Dict[str, str]]:
-    """Parse a status line + headers; raises ConnectionError on EOF."""
-    status_line = await reader.readline()
-    if not status_line:
-        raise ConnectionError("peer closed the connection")
-    parts = status_line.decode("latin-1").split(None, 2)
-    if len(parts) < 2 or not parts[1].isdigit():
-        raise ConnectionError(f"bad status line {status_line!r}")
-    headers: Dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    return int(parts[1]), headers
-
-
-async def read_content(reader: asyncio.StreamReader,
-                       headers: Dict[str, str]) -> bytes:
-    """The response body: length-framed, or read-to-EOF."""
-    if "content-length" in headers:
-        return await reader.readexactly(int(headers["content-length"]))
-    return await reader.read(-1)
 
 
 async def open_connection(host: str, port: int,
@@ -99,16 +59,6 @@ async def open_stream(host: str, port: int, method: str, path: str,
         writer.close()
         raise
     return status, resp_headers, reader, writer
-
-
-async def close_writer(writer: Optional[asyncio.StreamWriter]) -> None:
-    if writer is None:
-        return
-    try:
-        writer.close()
-        await writer.wait_closed()
-    except (ConnectionError, OSError):
-        pass
 
 
 class HttpPool:
@@ -148,14 +98,10 @@ class HttpPool:
                 writer.write(request_bytes(method, path, self.host,
                                            self.port, body, headers))
                 await writer.drain()
-                if timeout_s is None:
-                    status, resp_headers = await read_head(reader)
-                    data = await read_content(reader, resp_headers)
-                else:
-                    status, resp_headers = await asyncio.wait_for(
-                        read_head(reader), timeout_s)
-                    data = await asyncio.wait_for(
-                        read_content(reader, resp_headers), timeout_s)
+                status, resp_headers = await asyncio.wait_for(
+                    read_head(reader), timeout_s)
+                data = await asyncio.wait_for(
+                    read_content(reader, resp_headers), timeout_s)
             except (ConnectionError, OSError, asyncio.TimeoutError,
                     asyncio.IncompleteReadError):
                 await close_writer(writer)

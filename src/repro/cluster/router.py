@@ -26,38 +26,35 @@ points at the router port unchanged:
 
 A background prober hits each shard's ``/readyz``; consecutive
 failures mark the shard down (ring rehash), a success marks it back
-up.  See ``docs/cluster.md``.
+up.  The serving edge (listener, connection loop, routing, drain) is
+the shared :class:`~repro.service.server.HttpServer`.  See
+``docs/cluster.md``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import sys
 import time
-import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.campaign import RunRecord
-from repro.cluster.client import (
-    HttpPool, close_writer, open_stream, read_content,
-)
+from repro.cluster.client import HttpPool, open_stream
 from repro.cluster.planner import OrderedMerge, plan_sweep
 from repro.cluster.ring import DEFAULT_VNODES, EmptyRingError, HashRing
 from repro.service import api
 from repro.service.httpio import (
-    METRICS_TYPE, HttpError, Request, json_response, ndjson_line,
-    read_request, response, stream_head,
+    JSON_TYPE, METRICS_TYPE, HttpError, Request, close_writer,
+    json_response, ndjson_line, read_content, read_request, response,
+    stream_head,
 )
 from repro.service.metrics import MetricsRegistry
+from repro.service.server import HttpServer, result_key
 
 #: request header stamped on every proxied call; shards count it in
 #: ``repro_forwarded_requests_total``
 FORWARDED_HEADER = "X-Repro-Forwarded-By"
-
-#: route label for unmatched paths
-_OTHER = "other"
 
 #: shard statuses worth failing over for (a drained/broken shard);
 #: 429/4xx pass through to the client untouched
@@ -117,12 +114,14 @@ class ShardState:
     fails: int = 0
 
 
-class Router:
+class Router(HttpServer):
     """The load-balancer process (see module docstring)."""
+
+    log_name = "repro.cluster"
 
     def __init__(self, config: RouterConfig,
                  registry: Optional[MetricsRegistry] = None) -> None:
-        self.config = config
+        super().__init__(config)
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self._states: Dict[str, ShardState] = {
@@ -165,69 +164,33 @@ class Router:
         for ep in config.shards:
             self.m_shard_up.set(1, shard_id=ep.id)
 
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped: Optional[asyncio.Event] = None
         self._probe_task: Optional[asyncio.Task] = None
-        self._draining = False
-        self._active_requests = 0
-        self._started = time.monotonic()
-        self.port: Optional[int] = None
 
-    # -- lifecycle ------------------------------------------------------
+    # -- the backend: a prober and a connection pool per shard ----------
 
-    async def start(self) -> None:
-        self._stopped = asyncio.Event()
-        self._started = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+    def _after_listen(self) -> None:
         self._probe_task = asyncio.get_running_loop().create_task(
             self._probe_loop())
         self._log(f"routing {len(self._states)} shard(s) on "
                   f"http://{self.config.host}:{self.port}")
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def live_shards(self) -> List[str]:
-        return sorted(sid for sid, st in self._states.items() if st.up)
-
-    def begin_drain(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        self.m_draining.set(1)
-        self._log("drain requested; finishing in-flight requests")
-        asyncio.get_event_loop().create_task(self._drain())
-
-    async def _drain(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        deadline = time.monotonic() + self.config.drain_grace_s
-        while self._active_requests > 0 and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
+    async def _drain_backend(self, grace_s: float) -> bool:
         if self._probe_task is not None:
             self._probe_task.cancel()
         for state in self._states.values():
             await state.pool.close()
-        self._log("drain complete")
-        if self._stopped is not None:
-            self._stopped.set()
+        return True
 
-    async def wait_stopped(self) -> None:
-        assert self._stopped is not None, "start() first"
-        await self._stopped.wait()
+    async def _read_request(self, reader: asyncio.StreamReader
+                            ) -> Optional[Request]:
+        return await read_request(reader, self.config.max_body_bytes)
 
-    async def stop(self) -> None:
-        self.begin_drain()
-        await self.wait_stopped()
+    async def _dispatch(self, req: Request,
+                        writer: asyncio.StreamWriter) -> bool:
+        return await self._serve(req, writer)
 
-    def _log(self, message: str) -> None:
-        if not self.config.quiet:
-            print(f"[repro.cluster] {message}", file=sys.stderr,
-                  flush=True)
+    def live_shards(self) -> List[str]:
+        return sorted(sid for sid, st in self._states.items() if st.up)
 
     # -- shard health ---------------------------------------------------
 
@@ -284,102 +247,6 @@ class Router:
             self._mark_down(state, "probe failure"
                             if status is None else f"probe {status}")
 
-    # -- connection handling --------------------------------------------
-
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    req = await read_request(
-                        reader, self.config.max_body_bytes)
-                except HttpError as exc:
-                    writer.write(json_response(
-                        exc.status, {"error": exc.message},
-                        headers=exc.headers, keep_alive=False))
-                    await writer.drain()
-                    break
-                if req is None:
-                    break
-                keep = await self._dispatch(req, writer)
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    break
-                if not keep:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            await close_writer(writer)
-
-    async def _dispatch(self, req: Request,
-                        writer: asyncio.StreamWriter) -> bool:
-        route, handler = self._route(req)
-        keep = req.keep_alive and not self._draining
-        t0 = time.monotonic()
-        self._active_requests += 1
-        code = 499    # stays if the handler is cancelled mid-flight
-        try:
-            code, keep = await handler(req, writer, keep)
-        except HttpError as exc:
-            code = exc.status
-            writer.write(json_response(
-                code, {"error": exc.message}, headers=exc.headers,
-                keep_alive=keep))
-        except (ConnectionError, asyncio.IncompleteReadError):
-            code, keep = 499, False
-        except Exception:
-            code, keep = 500, False
-            self._log("internal error:\n" + traceback.format_exc())
-            try:
-                writer.write(json_response(
-                    500, {"error": "internal server error"},
-                    keep_alive=False))
-            except ConnectionError:
-                pass
-        finally:
-            self._active_requests -= 1
-            self.m_requests.inc(route=route, code=str(code))
-            self.m_latency.observe(time.monotonic() - t0, route=route)
-        return keep
-
-    def _route(self, req: Request):
-        path, method = req.path, req.method
-        if path == "/healthz":
-            return "healthz", self._require(method, "GET",
-                                            self._h_health)
-        if path == "/readyz":
-            return "readyz", self._require(method, "GET", self._h_ready)
-        if path == "/metrics":
-            return "metrics", self._require(method, "GET",
-                                            self._h_metrics)
-        if path == "/v1/run":
-            return "run", self._require(method, "POST", self._h_run,
-                                        guard=True)
-        if path == "/v1/sweep":
-            return "sweep", self._require(method, "POST",
-                                          self._h_sweep, guard=True)
-        if path.startswith("/v1/result/"):
-            return "result", self._require(method, "GET",
-                                           self._h_result)
-        return _OTHER, self._h_not_found
-
-    def _require(self, method: str, expected: str, handler,
-                 guard: bool = False):
-        async def wrapped(req, writer, keep):
-            if method != expected:
-                raise HttpError(405, f"use {expected}",
-                                {"Allow": expected})
-            if guard and self._draining:
-                raise HttpError(503, "draining; not accepting new work",
-                                {"Retry-After": "30"})
-            return await handler(req, writer, keep)
-        return wrapped
-
-    async def _h_not_found(self, req, writer, keep):
-        raise HttpError(404, f"no route for {req.path!r}")
-
     # -- proxying -------------------------------------------------------
 
     def _preference(self, key: str) -> List[ShardState]:
@@ -427,11 +294,16 @@ class Router:
                              f"({last_error})", {"Retry-After": "1"})
 
     @staticmethod
-    def _passthrough_headers(headers: Dict[str, str]) -> Dict[str, str]:
-        out = {}
-        if "retry-after" in headers:
-            out["Retry-After"] = headers["retry-after"]
-        return out
+    def _relay(writer, keep: bool, status: int, headers: Dict[str, str],
+               data: bytes) -> Tuple[int, bool]:
+        """Answer with a shard's response; Retry-After passes through."""
+        extra = ({"Retry-After": headers["retry-after"]}
+                 if "retry-after" in headers else None)
+        writer.write(response(
+            status, data,
+            content_type=headers.get("content-type", JSON_TYPE),
+            headers=extra, keep_alive=keep))
+        return status, keep
 
     # -- endpoints ------------------------------------------------------
 
@@ -490,20 +362,10 @@ class Router:
         point, _deadline = api.run_from_request(req.json(), None)
         status, headers, data = await self._call_with_failover(
             "POST", "/v1/run", req.body, point.spec.key, route="run")
-        writer.write(response(
-            status, data,
-            content_type=headers.get("content-type", "application/json"),
-            headers=self._passthrough_headers(headers),
-            keep_alive=keep))
-        return status, keep
+        return self._relay(writer, keep, status, headers, data)
 
     async def _h_result(self, req, writer, keep) -> Tuple[int, bool]:
-        key = req.path.rsplit("/", 1)[-1].lower()
-        if not (len(key) == 64
-                and all(c in "0123456789abcdef" for c in key)):
-            raise HttpError(400, "result key must be a 64-char spec "
-                            "hash (see the 'key' field of run/sweep "
-                            "responses)")
+        key = result_key(req.path)
         # owner first, then every other live shard: a key cached on the
         # "wrong" shard (stale ring at write time) is still found
         inflight: Optional[Tuple[int, Dict[str, str], bytes]] = None
@@ -518,23 +380,11 @@ class Router:
             if status == 200:
                 self.m_proxied.inc(shard_id=state.endpoint.id,
                                    route="result")
-                writer.write(response(
-                    status, data,
-                    content_type=headers.get("content-type",
-                                             "application/json"),
-                    keep_alive=keep))
-                return status, keep
+                return self._relay(writer, keep, status, headers, data)
             if status == 202 and inflight is None:
                 inflight = (status, headers, data)
         if inflight is not None:
-            status, headers, data = inflight
-            writer.write(response(
-                status, data,
-                content_type=headers.get("content-type",
-                                         "application/json"),
-                headers=self._passthrough_headers(headers),
-                keep_alive=keep))
-            return status, keep
+            return self._relay(writer, keep, *inflight)
         raise HttpError(404, f"no cached result for {key} on any shard")
 
     # -- the sweep planner ----------------------------------------------

@@ -18,11 +18,9 @@ failure: the exit code reflects the router's drain alone.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import queue
-import signal
 import subprocess
 import sys
 import threading
@@ -203,27 +201,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         fail_threshold=args.fail_threshold, retries=args.retries,
         drain_grace_s=args.drain_grace, quiet=args.quiet)
     router = Router(config)
-
-    async def run() -> None:
-        await router.start()
-        boot = {"service": "repro-cluster", "host": args.host,
-                "port": router.port,
-                "shards": [{"id": ep.id, "host": ep.host,
-                            "port": ep.port, "pid": proc.pid}
-                           for ep, proc in zip(endpoints, procs)]}
-        print(json.dumps(boot), flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, router.begin_drain)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await router.wait_stopped()
-
     try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
+        router.run_cli(lambda: {
+            "service": "repro-cluster", "host": args.host,
+            "port": router.port,
+            "shards": [{"id": ep.id, "host": ep.host, "port": ep.port,
+                        "pid": proc.pid}
+                       for ep, proc in zip(endpoints, procs)]})
     finally:
         terminate_shards(procs)
     return 0

@@ -198,6 +198,10 @@ class MachineConfig:
             raise ValueError("num_procs must be >= 1")
         if self.hybrid_default is Protocol.HYBRID:
             raise ValueError("hybrid_default must be a concrete protocol")
+        for name in ("word_size_bytes", "block_size_bytes",
+                     "cache_size_bytes"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.block_size_bytes % self.word_size_bytes:
             raise ValueError("block size must be a multiple of word size")
         if self.cache_size_bytes % self.block_size_bytes:
@@ -311,11 +315,16 @@ class ExperimentScale:
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         base = cls()
-        return cls(
-            lock_total_acquires=max(1, int(base.lock_total_acquires * factor)),
-            barrier_episodes=max(1, int(base.barrier_episodes * factor)),
-            reduction_iters=max(1, int(base.reduction_iters * factor)),
-        )
+        try:
+            return cls(
+                lock_total_acquires=max(
+                    1, int(base.lock_total_acquires * factor)),
+                barrier_episodes=max(1, int(base.barrier_episodes * factor)),
+                reduction_iters=max(1, int(base.reduction_iters * factor)),
+            )
+        except OverflowError:
+            raise ValueError(f"scale factor {factor!r} overflows the "
+                             "iteration counts") from None
 
     @classmethod
     def quick(cls) -> "ExperimentScale":

@@ -15,7 +15,10 @@ All simulation work flows through one :class:`SimScheduler` (shared
 cache, single-flight, bounded admission), so overlapping requests from
 many clients cost one simulation per unique spec.  SIGTERM/SIGINT
 drain gracefully: the listener closes, in-flight requests finish, the
-worker pool shuts down, and the process exits 0.
+worker pool shuts down, and the process exits 0.  The serving edge
+(listener, connection loop, routing, drain, signals) is the shared
+:class:`~repro.service.server.HttpServer`; this module holds the
+endpoints and the ``serve`` CLI.
 
 Run it via ``python -m repro.experiments serve`` or
 ``python -m repro.service``.
@@ -25,12 +28,8 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
-import signal
-import socket
 import sys
 import time
-import traceback
 from typing import List, Optional, Tuple
 
 from repro.campaign import ResultCache
@@ -44,18 +43,18 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.scheduler import (
     DeadlineExceeded, Draining, QueueFull, SimScheduler,
 )
-
-#: route label for unmatched paths (bounds metric cardinality)
-_OTHER = "other"
+from repro.service.server import HttpServer, draining_error, result_key
 
 
-class Gateway:
+class Gateway(HttpServer):
     """One service instance: listener + scheduler + metrics."""
+
+    log_name = "repro.service"
 
     def __init__(self, config: ServiceConfig,
                  scheduler: Optional[SimScheduler] = None,
                  registry: Optional[MetricsRegistry] = None) -> None:
-        self.config = config
+        super().__init__(config)
         self.registry = registry if registry is not None \
             else (scheduler.registry if scheduler is not None
                   else MetricsRegistry(
@@ -77,7 +76,7 @@ class Gateway:
         self.m_requests = self.registry.counter(
             "repro_requests_total", "HTTP requests by route and status",
             ("route", "code"))
-        self.m_request_latency = self.registry.histogram(
+        self.m_latency = self.registry.histogram(
             "repro_request_latency_seconds",
             "Wall-clock seconds per HTTP request", ("route",))
         self.m_draining = self.registry.gauge(
@@ -99,196 +98,41 @@ class Gateway:
             self._ring = HashRing(config.shard_peers,
                                   vnodes=config.ring_vnodes)
 
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._ready = False
-        self._draining = False
-        self._active_requests = 0
-        self._started = time.monotonic()
-        self.port: Optional[int] = None
+    # -- the backend: a scheduler in front of a worker pool -------------
 
-    # -- lifecycle ------------------------------------------------------
-
-    async def start(self) -> None:
-        self._stopped = asyncio.Event()
-        self._started = time.monotonic()
+    def _before_listen(self) -> None:
         if self._own_scheduler:
             # fork the workers before any socket exists (see
             # SimScheduler.warm); injected schedulers warm themselves
             self.scheduler.warm()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._ready = True
+
+    def _after_listen(self) -> None:
         self._log(f"listening on http://{self.config.host}:{self.port}")
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
+    async def _drain_backend(self, grace_s: float) -> bool:
+        return await self.scheduler.drain(grace_s=grace_s)
 
-    def begin_drain(self) -> None:
-        """Idempotent; safe to call from a signal handler callback."""
-        if self._draining:
-            return
-        self._draining = True
-        self._ready = False
-        self.m_draining.set(1)
-        self._log("drain requested; finishing in-flight work")
-        asyncio.get_event_loop().create_task(self._drain())
-
-    async def _drain(self) -> None:
-        grace = self.config.drain_grace_s
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        deadline = time.monotonic() + grace
-        while self._active_requests > 0 and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
-        clean = await self.scheduler.drain(
-            grace_s=max(0.0, deadline - time.monotonic()))
-        self._log("drain complete" if clean
-                  else "drain grace expired with work still running")
-        if self._stopped is not None:
-            self._stopped.set()
-
-    async def wait_stopped(self) -> None:
-        assert self._stopped is not None, "start() first"
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        """Drain and wait (used by tests; signals use begin_drain)."""
-        self.begin_drain()
-        await self.wait_stopped()
-
-    async def serve_forever(self, handle_signals: bool = True) -> None:
-        await self.start()
-        if handle_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self.begin_drain)
-                except (NotImplementedError, RuntimeError):
-                    pass
-        await self.wait_stopped()
-
-    def _log(self, message: str) -> None:
-        if not self.config.quiet:
-            print(f"[repro.service] {message}", file=sys.stderr,
-                  flush=True)
-
-    # -- connection handling --------------------------------------------
-
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    req = await read_request(
-                        reader, self.config.max_body_bytes)
-                except HttpError as exc:
-                    writer.write(json_response(
-                        exc.status, {"error": exc.message},
-                        headers=exc.headers, keep_alive=False))
-                    await writer.drain()
-                    break
-                if req is None:
-                    break
-                keep = await self._dispatch(req, writer)
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    break
-                if not keep:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            try:
-                # explicit shutdown: forked pool workers may hold a
-                # dup of this fd, and FIN is only sent when the last
-                # dup closes -- close() alone would leave EOF-framed
-                # responses hanging
-                sock = writer.get_extra_info("socket")
-                if sock is not None:
-                    sock.shutdown(socket.SHUT_RDWR)
-            except (OSError, ValueError):
-                pass
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    async def _read_request(self, reader: asyncio.StreamReader
+                            ) -> Optional[Request]:
+        return await read_request(reader, self.config.max_body_bytes)
 
     async def _dispatch(self, req: Request,
                         writer: asyncio.StreamWriter) -> bool:
-        """Route + run one request; returns keep-alive."""
-        route, handler = self._route(req)
         if "x-repro-forwarded-by" in req.headers:
             self.m_forwarded.inc()
-        keep = req.keep_alive and not self._draining
-        t0 = time.monotonic()
-        self._active_requests += 1
-        code = 499    # stays if the handler is cancelled mid-flight
+        return await self._serve(req, writer)
+
+    def _admit(self, specs) -> list:
+        """Admit specs all at once, or answer 429 (queue full) or 503
+        (draining)."""
         try:
-            code, keep = await handler(req, writer, keep)
-        except HttpError as exc:
-            code = exc.status
-            writer.write(json_response(
-                code, {"error": exc.message}, headers=exc.headers,
-                keep_alive=keep))
-        except (ConnectionError, asyncio.IncompleteReadError):
-            code, keep = 499, False      # client went away mid-response
-        except Exception:
-            code, keep = 500, False
-            self._log("internal error:\n" + traceback.format_exc())
-            try:
-                writer.write(json_response(
-                    500, {"error": "internal server error"},
-                    keep_alive=False))
-            except ConnectionError:
-                pass
-        finally:
-            self._active_requests -= 1
-            self.m_requests.inc(route=route, code=str(code))
-            self.m_request_latency.observe(
-                time.monotonic() - t0, route=route)
-        return keep
-
-    def _route(self, req: Request):
-        path, method = req.path, req.method
-        if path == "/healthz":
-            return "healthz", self._require(method, "GET",
-                                            self._h_health)
-        if path == "/readyz":
-            return "readyz", self._require(method, "GET", self._h_ready)
-        if path == "/metrics":
-            return "metrics", self._require(method, "GET",
-                                            self._h_metrics)
-        if path == "/v1/run":
-            return "run", self._require(method, "POST", self._h_run,
-                                        guard=True)
-        if path == "/v1/sweep":
-            return "sweep", self._require(method, "POST",
-                                          self._h_sweep, guard=True)
-        if path.startswith("/v1/result/"):
-            return "result", self._require(method, "GET",
-                                           self._h_result)
-        return _OTHER, self._h_not_found
-
-    def _require(self, method: str, expected: str, handler,
-                 guard: bool = False):
-        async def wrapped(req, writer, keep):
-            if method != expected:
-                raise HttpError(405, f"use {expected}",
-                                {"Allow": expected})
-            if guard and self._draining:
-                raise HttpError(503, "draining; not accepting new work",
-                                {"Retry-After": "30"})
-            return await handler(req, writer, keep)
-        return wrapped
-
-    async def _h_not_found(self, req, writer, keep):
-        raise HttpError(404, f"no route for {req.path!r}")
+            return self.scheduler.admit_many(specs)
+        except QueueFull as exc:
+            raise HttpError(
+                429, str(exc),
+                {"Retry-After": str(exc.retry_after_s)}) from None
+        except Draining:
+            raise draining_error() from None
 
     def _check_ownership(self, key: str) -> None:
         """Count (never reject) keys another shard owns: a misrouted
@@ -342,15 +186,7 @@ class Gateway:
         point, deadline_s = api.run_from_request(
             req.json(), self.config.deadline_s)
         self._check_ownership(point.spec.key)
-        try:
-            handle = self.scheduler.admit(point.spec)
-        except QueueFull as exc:
-            raise HttpError(
-                429, str(exc),
-                {"Retry-After": str(exc.retry_after_s)}) from None
-        except Draining:
-            raise HttpError(503, "draining; not accepting new work",
-                            {"Retry-After": "30"}) from None
+        handle = self._admit([point.spec])[0]
         try:
             record = await self.scheduler.result(handle, deadline_s)
         except DeadlineExceeded as exc:
@@ -363,12 +199,7 @@ class Gateway:
         return code, keep
 
     async def _h_result(self, req, writer, keep) -> Tuple[int, bool]:
-        key = req.path.rsplit("/", 1)[-1].lower()
-        if not (len(key) == 64
-                and all(c in "0123456789abcdef" for c in key)):
-            raise HttpError(400, "result key must be a 64-char spec "
-                            "hash (see the 'key' field of run/sweep "
-                            "responses)")
+        key = result_key(req.path)
         self._check_ownership(key)
         record = self.cache.get(key) if self.cache is not None else None
         if record is not None:
@@ -394,16 +225,7 @@ class Gateway:
             if isinstance(data, dict) else False
         for pt in points:
             self._check_ownership(pt.spec.key)
-        try:
-            handles = self.scheduler.admit_many(
-                [pt.spec for pt in points])
-        except QueueFull as exc:
-            raise HttpError(
-                429, str(exc),
-                {"Retry-After": str(exc.retry_after_s)}) from None
-        except Draining:
-            raise HttpError(503, "draining; not accepting new work",
-                            {"Retry-After": "30"}) from None
+        handles = self._admit([pt.spec for pt in points])
 
         # headers committed: stream close-delimited NDJSON from here on
         writer.write(stream_head())
@@ -547,26 +369,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     gateway = Gateway(config)
 
-    async def run() -> None:
-        await gateway.start()
-        # machine-readable boot line on stdout: scripts parse the port
-        boot = {"service": "repro", "host": config.host,
+    def boot() -> dict:
+        line = {"service": "repro", "host": config.host,
                 "port": gateway.port}
         if config.shard_id is not None:
-            boot["shard_id"] = config.shard_id
-        print(json.dumps(boot), flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, gateway.begin_drain)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await gateway.wait_stopped()
+            line["shard_id"] = config.shard_id
+        return line
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
+    gateway.run_cli(boot)
     return 0
 
 

@@ -1,20 +1,23 @@
 """Minimal HTTP/1.1 framing over asyncio streams, stdlib only.
 
-Just enough of the protocol for the gateway and the load generator:
-request parsing (request line, headers, Content-Length bodies), fixed
-responses with Content-Length + keep-alive, and close-delimited
-streaming responses for NDJSON sweeps.  Chunked transfer coding is
-deliberately not implemented -- sweep streams mark themselves
-``Connection: close`` and the body ends at EOF, which every HTTP/1.1
-client understands.
+Just enough of the protocol for the gateway, the cluster router and
+the load generator.  Server side: request parsing (request line,
+headers, Content-Length bodies), fixed responses with Content-Length +
+keep-alive, and close-delimited streaming responses for NDJSON sweeps.
+Client side: request serialization and response parsing, used by the
+router's shard calls and by the load generator.  Chunked transfer
+coding is deliberately not implemented -- sweep streams mark
+themselves ``Connection: close`` and the body ends at EOF, which every
+HTTP/1.1 client understands.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 REASONS = {
@@ -32,6 +35,23 @@ _MAX_HEADERS = 100
 JSON_TYPE = "application/json"
 NDJSON_TYPE = "application/x-ndjson"
 METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+#: standard JSON only: Python's decoder also accepts NaN, Infinity and
+#: -Infinity, and turns an out-of-range literal like 1e999 into inf
+_DECODER = json.JSONDecoder(parse_float=_finite,
+                            parse_constant=_no_constant)
 
 
 class HttpError(Exception):
@@ -69,7 +89,7 @@ class Request:
         if not self.body:
             raise HttpError(400, "expected a JSON request body")
         try:
-            return json.loads(self.body.decode("utf-8"))
+            return _DECODER.decode(self.body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise HttpError(400, f"malformed JSON body: {exc}") from None
 
@@ -79,8 +99,10 @@ async def read_request(reader: asyncio.StreamReader,
     """Parse one request from the stream; None on clean EOF."""
     try:
         line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+    except ConnectionError:
         return None
+    except ValueError:      # a line over the stream limit (64 KiB)
+        raise HttpError(400, "request line too long") from None
     if not line.strip():
         return None
     if len(line) > _MAX_LINE:
@@ -94,7 +116,10 @@ async def read_request(reader: asyncio.StreamReader,
 
     headers: Dict[str, str] = {}
     for _ in range(_MAX_HEADERS):
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError:
+            raise HttpError(400, "header line too long") from None
         if raw in (b"\r\n", b"\n", b""):
             break
         if len(raw) > _MAX_LINE:
@@ -123,7 +148,10 @@ async def read_request(reader: asyncio.StreamReader,
     elif headers.get("transfer-encoding"):
         raise HttpError(400, "chunked request bodies are not supported")
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:          # e.g. "//[": an unclosed IPv6 host
+        raise HttpError(400, "malformed request target") from None
     query = dict(parse_qsl(split.query, keep_blank_values=True))
     return Request(method=method.upper(), target=target,
                    path=unquote(split.path), query=query,
@@ -166,3 +194,61 @@ def stream_head(status: int = 200,
 
 def ndjson_line(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
+
+
+# ----------------------------------------------------------------------
+# client side
+# ----------------------------------------------------------------------
+
+def request_bytes(method: str, path: str, host: str, port: int,
+                  body: Optional[bytes] = None,
+                  headers: Optional[Dict[str, str]] = None) -> bytes:
+    """Serialize one HTTP/1.1 request."""
+    head = [f"{method} {path} HTTP/1.1",
+            f"Host: {host}:{port}",
+            "Accept: */*"]
+    for name, value in (headers or {}).items():
+        head.append(f"{name}: {value}")
+    if body is not None:
+        head.append("Content-Type: application/json")
+        head.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") \
+        + (body or b"")
+
+
+async def read_head(reader: asyncio.StreamReader
+                    ) -> Tuple[int, Dict[str, str]]:
+    """Parse a status line + headers; raises ConnectionError on EOF."""
+    status_line = await reader.readline()
+    if not status_line:
+        raise ConnectionError("peer closed the connection")
+    parts = status_line.decode("latin-1").split(None, 2)
+    if len(parts) < 2 or not parts[1].isdigit():
+        raise ConnectionError(f"bad status line {status_line!r}")
+    headers: Dict[str, str] = {}
+    while True:
+        raw = await reader.readline()
+        if raw in (b"\r\n", b"\n", b""):
+            break
+        name, sep, value = raw.decode("latin-1").partition(":")
+        if sep:
+            headers[name.strip().lower()] = value.strip()
+    return int(parts[1]), headers
+
+
+async def read_content(reader: asyncio.StreamReader,
+                       headers: Dict[str, str]) -> bytes:
+    """The response body: length-framed, or read-to-EOF."""
+    if "content-length" in headers:
+        return await reader.readexactly(int(headers["content-length"]))
+    return await reader.read(-1)
+
+
+async def close_writer(writer: Optional[asyncio.StreamWriter]) -> None:
+    if writer is None:
+        return
+    try:
+        writer.close()
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass

@@ -33,6 +33,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.service.httpio import (
+    close_writer, read_content, read_head, request_bytes,
+)
 from repro.service.metrics import percentile
 
 _MAX_LINE = 1 << 20
@@ -71,12 +74,7 @@ class HttpClient:
             self.host, self.port, limit=_MAX_LINE)
 
     async def close(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await close_writer(self._writer)
         self._reader = self._writer = None
 
     async def request(self, method: str, path: str,
@@ -85,40 +83,12 @@ class HttpClient:
         """One request; returns (status, headers, full body bytes)."""
         if self._writer is None:
             await self._connect()
-        head = [f"{method} {path} HTTP/1.1",
-                f"Host: {self.host}:{self.port}",
-                "Accept: */*"]
-        if body is not None:
-            head.append("Content-Type: application/json")
-            head.append(f"Content-Length: {len(body)}")
-        payload = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") \
-            + (body or b"")
-        self._writer.write(payload)
+        self._writer.write(request_bytes(method, path, self.host,
+                                         self.port, body))
         await self._writer.drain()
-
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed the connection")
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(f"bad status line {status_line!r}")
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await self._reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-
-        if "content-length" in headers:
-            resp_body = await self._reader.readexactly(
-                int(headers["content-length"]))
-        else:
-            # close-delimited (the NDJSON sweep stream)
-            resp_body = await self._reader.read(-1)
-
+        status, headers = await read_head(self._reader)
+        # length-framed, or close-delimited (the NDJSON sweep stream)
+        resp_body = await read_content(self._reader, headers)
         if headers.get("connection", "").lower() == "close":
             await self.close()
         return status, headers, resp_body

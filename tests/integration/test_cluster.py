@@ -19,6 +19,7 @@ asserted white-box.  Covers:
 """
 
 import asyncio
+import gc
 import json
 
 import pytest
@@ -29,6 +30,7 @@ from repro.cluster.ring import HashRing
 from repro.config import ExperimentScale
 from repro.experiments.figures import figure_points
 from repro.service import Gateway, ServiceConfig
+from repro.service.httpio import json_response, read_request
 from repro.service.loadgen import HttpClient
 
 SCALE = 0.002       # tiny but nonzero simulations (~10ms each)
@@ -406,3 +408,55 @@ class TestRouterEndpoints:
             ctx.router._draining = False
 
         cluster(check, tmp_path=tmp_path)
+
+
+class TestHalfClosedClient:
+    def test_proxied_run_survives_gc_while_shard_is_busy(self):
+        """A client that half-closes after its request (as the wire
+        golden test does) takes the router's transport out of the
+        selector, so while the router awaits the shard nothing in
+        asyncio holds its connection task strongly: a garbage
+        collection in that window must not destroy the response."""
+        async def go():
+            arrived, release = asyncio.Event(), asyncio.Event()
+
+            async def shard(reader, writer):
+                # a stub shard: ready to probes, holds POST /v1/run
+                while (req := await read_request(reader)) is not None:
+                    if req.method == "POST":
+                        arrived.set()
+                        await release.wait()
+                    writer.write(json_response(200, {"ok": True}))
+                    await writer.drain()
+                writer.close()
+
+            stub = await asyncio.start_server(shard, "127.0.0.1", 0)
+            router = Router(RouterConfig(
+                shards=(ShardEndpoint(
+                    "shard-0", "127.0.0.1",
+                    stub.sockets[0].getsockname()[1]),),
+                port=0, quiet=True))
+            await router.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", router.port)
+                body = json.dumps({"workload": "lock",
+                                   "config": {}}).encode()
+                writer.write(b"POST /v1/run HTTP/1.1\r\nHost: t\r\n"
+                             b"Content-Length: %d\r\n\r\n%s"
+                             % (len(body), body))
+                writer.write_eof()
+                await asyncio.wait_for(arrived.wait(), 10)
+                await asyncio.sleep(0.05)    # the router reads the EOF
+                gc.collect()
+                release.set()
+                reply = await asyncio.wait_for(reader.read(-1), 10)
+                writer.close()
+            finally:
+                await router.stop()
+                stub.close()
+            return reply
+
+        reply = asyncio.run(go())
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert reply.endswith(b'\r\n\r\n{"ok": true}\n')

@@ -104,6 +104,10 @@ class TestMachineConfig:
         dict(cache_size_bytes=100),         # not multiple of block
         dict(write_buffer_entries=0),
         dict(update_threshold=0),
+        dict(block_size_bytes=0),
+        dict(word_size_bytes=0),
+        dict(block_size_bytes=-64),
+        dict(cache_size_bytes=0),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -134,3 +138,8 @@ class TestExperimentScale:
     def test_scaled_invalid(self):
         with pytest.raises(ValueError):
             ExperimentScale.scaled(0)
+
+    @pytest.mark.parametrize("factor", [1e308, float("inf")])
+    def test_scaled_overflow_is_value_error(self, factor):
+        with pytest.raises(ValueError, match="overflows"):
+            ExperimentScale.scaled(factor)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import Protocol
 from repro.service import api
-from repro.service.httpio import HttpError
+from repro.service.httpio import HttpError, Request
 
 
 def err400(fn, *args):
@@ -156,3 +156,59 @@ class TestSweepRequests:
 
     def test_needs_figure_or_specs(self):
         err400(api.sweep_from_request, {}, None)
+
+
+def body_400(fn, raw: bytes) -> str:
+    """``raw`` parsed by ``Request.json()`` then validated by ``fn``:
+    a 400 from either step."""
+    req = Request(method="POST", target="/", path="/", query={},
+                  headers={}, body=raw)
+    with pytest.raises(HttpError) as err:
+        fn(req.json(), None)
+    assert err.value.status == 400
+    return err.value.message
+
+
+class TestClientSideNumbers:
+    """Numbers only a client can get wrong are 400s, never 500s."""
+
+    @pytest.mark.parametrize("field", ["block_size_bytes",
+                                       "word_size_bytes",
+                                       "cache_size_bytes"])
+    @pytest.mark.parametrize("value", [0, -64])
+    def test_non_positive_sizes(self, field, value):
+        msg = err400(api.spec_from_request,
+                     dict(RUN_BODY, config={field: value}))
+        assert field in msg
+
+    def test_overflowing_scale(self):
+        msg = err400(api.sweep_from_request,
+                     {"figure": "fig9", "scale": 1e308}, None)
+        assert "overflows" in msg
+
+    @pytest.mark.parametrize("raw", [
+        b'{"figure": "fig9", "scale": Infinity}',
+        b'{"figure": "fig9", "scale": 1e999}',
+        b'{"figure": "fig9", "scale": 0.01, "deadline_s": NaN}',
+    ])
+    def test_non_finite_sweep_numbers(self, raw):
+        msg = body_400(api.sweep_from_request, raw)
+        assert "malformed JSON body" in msg
+
+    @pytest.mark.parametrize("raw", [
+        b'{"workload": "lock", "deadline_s": NaN}',
+        b'{"workload": "lock", "config": '
+        b'{"network_jitter_cycles": NaN}}',
+        b'{"workload": "lock", "params": {"total_acquires": -Infinity}}',
+    ])
+    def test_non_finite_run_numbers(self, raw):
+        msg = body_400(api.run_from_request, raw)
+        assert "malformed JSON body" in msg
+
+    def test_finite_numbers_parse_as_before(self):
+        import json
+
+        raw = b'{"a": 1.5, "b": [1e308, -0.0, 2], "c": 3}'
+        req = Request(method="POST", target="/", path="/", query={},
+                      headers={}, body=raw)
+        assert req.json() == json.loads(raw)

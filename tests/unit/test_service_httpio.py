@@ -88,6 +88,38 @@ class TestReadRequest:
             parse(raw)
         assert err.value.status == 400
 
+    def test_request_line_over_stream_limit_is_400(self):
+        # 70 KB is past StreamReader's 64 KiB limit, where readline
+        # raises ValueError instead of returning the line
+        target = "/" + "a" * 70_000
+        with pytest.raises(HttpError) as err:
+            parse(f"GET {target} HTTP/1.1\r\n\r\n".encode())
+        assert (err.value.status, err.value.message) == \
+            (400, "request line too long")
+
+    def test_header_line_over_stream_limit_is_400(self):
+        raw = req_bytes(method="GET", target="/",
+                        headers=[("X-Big", "b" * 70_000)])
+        with pytest.raises(HttpError) as err:
+            parse(raw)
+        assert (err.value.status, err.value.message) == \
+            (400, "header line too long")
+
+    def test_lines_under_stream_limit_keep_their_400(self):
+        with pytest.raises(HttpError) as err:
+            parse(req_bytes(method="GET", target="/" + "a" * 20_000))
+        assert err.value.message == "request line too long"
+        with pytest.raises(HttpError) as err:
+            parse(req_bytes(method="GET", target="/",
+                            headers=[("X-Big", "b" * 20_000)]))
+        assert err.value.message == "header line too long"
+
+    def test_unparseable_target_is_400(self):
+        with pytest.raises(HttpError) as err:
+            parse(b"GET //[ HTTP/1.1\r\n\r\n")
+        assert (err.value.status, err.value.message) == \
+            (400, "malformed request target")
+
     def test_truncated_body_is_clean_eof(self):
         raw = b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"
         assert parse(raw) is None
@@ -100,6 +132,15 @@ class TestReadRequest:
         empty = parse(req_bytes(method="GET", target="/"))
         with pytest.raises(HttpError):
             empty.json()
+
+    @pytest.mark.parametrize("body", [
+        b'{"x": NaN}', b'{"x": Infinity}', b'[-Infinity]', b'{"x": 1e999}',
+    ])
+    def test_json_rejects_non_finite_numbers(self, body):
+        req = parse(req_bytes(body=body))
+        with pytest.raises(HttpError) as err:
+            req.json()
+        assert err.value.status == 400
 
 
 class TestResponses:
