@@ -29,6 +29,7 @@ import difflib
 import json
 import os
 import sys
+import time
 from typing import List, Optional
 
 from repro.config import Protocol
@@ -128,13 +129,16 @@ def _check(args, protocols: List[Protocol]) -> int:
     if args.graph:
         from repro.staticcheck import check_spec_graph
         for proto in protocols:
+            started = time.perf_counter()
             findings, record = check_spec_graph(proto.value)
+            elapsed = time.perf_counter() - started
             report.extend(findings)
             graph_records[proto.value] = record
             if not args.quiet:
                 states = sum(r["states"] for r in record["runs"])
                 print(f"  [graph {proto.value}: {states} product "
-                      f"states explored]", file=sys.stderr)
+                      f"states explored in {elapsed:.1f} s]",
+                      file=sys.stderr)
     if not args.no_suppressions:
         try:
             table = load_suppressions(args.suppressions)

@@ -171,7 +171,10 @@ def sweep_from_request(data: Any, default_deadline: Optional[float]
             raise _bad("'specs' must be a non-empty JSON array")
         if len(raw) > MAX_SWEEP_SPECS:
             raise _bad(f"sweep exceeds {MAX_SWEEP_SPECS} specs")
-        return None, [spec_from_request(item) for item in raw], deadline
+        # each spec is validated as a /v1/run body, its deadline_s
+        # included; only the sweep-level deadline_s is applied
+        return None, [run_from_request(item, None)[0] for item in raw], \
+            deadline
 
     fid = data.get("figure")
     if not isinstance(fid, str) or not fid:

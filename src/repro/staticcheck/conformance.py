@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.network.messages import MsgType
 from repro.protospec.model import LOCAL_EVENTS, ProtocolSpec
-from repro.staticcheck.report import Finding
+from repro.staticcheck.report import Finding, source_path
 
 #: plumbing helpers summarized as one abstract action (not descended)
 TOKEN_METHODS = {
@@ -320,14 +320,6 @@ def handler_effects(cls: type) -> Dict[str, EffectMap]:
     return out
 
 
-def _relpath(path: str) -> str:
-    import os
-    cwd = os.getcwd()
-    if path.startswith(cwd + os.sep):
-        return path[len(cwd) + 1:]
-    return path
-
-
 def check_conformance(spec: ProtocolSpec, cls: type) -> List[Finding]:
     """Diff the spec's per-event action unions against the class's
     extracted handler effects."""
@@ -371,7 +363,7 @@ def check_conformance(spec: ProtocolSpec, cls: type) -> List[Finding]:
         entry = (cls.HANDLERS[MsgType[event]] if not is_local
                  else LOCAL_EVENTS[event])
         entry_fn = _function_of(getattr(cls, entry))
-        entry_where = (_relpath(entry_fn.__code__.co_filename),
+        entry_where = (source_path(entry_fn.__code__.co_filename),
                        entry_fn.__code__.co_firstlineno)
         for action in sorted(table - set(code)):
             findings.append(Finding(
@@ -390,7 +382,7 @@ def check_conformance(spec: ProtocolSpec, cls: type) -> List[Finding]:
                 detail=f"{cls.__name__}.{entry} does {action!r} on "
                        f"{event}, which no {proto} table row declares",
                 protocol=proto, event=event,
-                file=_relpath(file), line=line))
+                file=source_path(file), line=line))
 
     # messages the code handles that the table does not route at all
     for event in sorted(handled_msgs - set(declared)):
@@ -402,7 +394,7 @@ def check_conformance(spec: ProtocolSpec, cls: type) -> List[Finding]:
             detail=f"{cls.__name__} handles {event} but the {proto} "
                    f"table does not list it on either side",
             protocol=proto, event=event,
-            file=_relpath(fn.__code__.co_filename),
+            file=source_path(fn.__code__.co_filename),
             line=fn.__code__.co_firstlineno))
     return findings
 

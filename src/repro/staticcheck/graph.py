@@ -59,18 +59,19 @@ must catch each one with a counterexample path, which is what
 from __future__ import annotations
 
 import inspect
-import os
 import re
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set,
+    Tuple,
 )
 
 from repro.protospec.model import (
     ANY_STATE, LOCAL_PREFIX, Impossible, ProtocolSpec, SideSpec,
     TransitionRow,
 )
-from repro.staticcheck.report import Finding
+from repro.staticcheck.report import Finding, source_path
 
 #: the two cache agents; the home is its own third party
 AGENTS = (0, 1)
@@ -128,9 +129,9 @@ _CARRIES_NACKS = frozenset((
 ))
 
 
-@dataclass(frozen=True)
-class Msg:
-    """One in-flight message (no payload beyond the freshness tag)."""
+class Msg(NamedTuple):
+    """One in-flight message (no payload beyond the freshness tag).  A
+    named tuple, so the states that hold it hash and compare in C."""
 
     type: str
     src: object                  # 0 | 1 | "home"
@@ -149,11 +150,16 @@ class Msg:
 
 
 _CHANNELS = ((0, HOME), (1, HOME), (HOME, 0), (HOME, 1), (0, 1), (1, 0))
+#: (src, dst) -> the channel's index in ``World.chans``
+_CHANNEL_INDEX = {chan: i for i, chan in enumerate(_CHANNELS)}
 
 
-@dataclass
 class World:
     """One mutable product state (frozen to a tuple for hashing)."""
+
+    __slots__ = ("cstate", "copy", "acks", "budget", "poisoned", "home",
+                 "owner", "sharers", "mem", "open_txn", "queue", "chans",
+                 "early_wb")
 
     cstate: List[str]
     copy: List[Optional[Tuple[str, int]]]    # (tag, counter) | None
@@ -169,36 +175,49 @@ class World:
     mem: str
     open_txn: Optional[Msg]
     queue: Tuple[Msg, ...]
-    chans: Dict[Tuple, Tuple[Msg, ...]]
+    #: one FIFO per entry of ``_CHANNELS``, in that order
+    chans: List[Tuple[Msg, ...]]
     #: agents whose WRITEBACK arrived mid-transaction, before the
     #: DIRTY_TRANSFER naming them owner (DirEntry.early_wb_mask)
     early_wb: FrozenSet[int]
 
+    def __init__(self, cstate, copy, acks, budget, poisoned, home, owner,
+                 sharers, mem, open_txn, queue, chans, early_wb) -> None:
+        self.cstate = cstate
+        self.copy = copy
+        self.acks = acks
+        self.budget = budget
+        self.poisoned = poisoned
+        self.home = home
+        self.owner = owner
+        self.sharers = sharers
+        self.mem = mem
+        self.open_txn = open_txn
+        self.queue = queue
+        self.chans = chans
+        self.early_wb = early_wb
+
     def clone(self) -> "World":
-        return World(cstate=list(self.cstate), copy=list(self.copy),
-                     acks=list(self.acks), budget=list(self.budget),
-                     poisoned=list(self.poisoned),
-                     home=self.home, owner=self.owner,
-                     sharers=self.sharers, mem=self.mem,
-                     open_txn=self.open_txn, queue=self.queue,
-                     chans=dict(self.chans), early_wb=self.early_wb)
+        return World(self.cstate[:], self.copy[:], self.acks[:],
+                     self.budget[:], self.poisoned[:], self.home,
+                     self.owner, self.sharers, self.mem, self.open_txn,
+                     self.queue, self.chans[:], self.early_wb)
 
     def freeze(self) -> tuple:
         return (tuple(self.cstate), tuple(self.copy), tuple(self.acks),
                 tuple(self.budget), tuple(self.poisoned),
                 self.home, self.owner, self.sharers,
                 self.mem, self.open_txn, self.queue,
-                tuple(self.chans[c] for c in _CHANNELS),
-                self.early_wb)
+                tuple(self.chans), self.early_wb)
 
     # -- network ------------------------------------------------------
 
     def push(self, msg: Msg) -> None:
-        key = (msg.src, msg.dst)
-        self.chans[key] = self.chans[key] + (msg,)
+        i = _CHANNEL_INDEX[msg.src, msg.dst]
+        self.chans[i] = self.chans[i] + (msg,)
 
     def in_flight(self) -> bool:
-        return any(self.chans[c] for c in _CHANNELS)
+        return any(self.chans)
 
     # -- freshness ----------------------------------------------------
 
@@ -212,10 +231,11 @@ class World:
                 self.copy[i] = (STALE, self.copy[i][1])
         if self.mem == FRESH:
             self.mem = STALE
-        for key in _CHANNELS:
-            self.chans[key] = tuple(
-                replace(m, tag=STALE) if m.tag == FRESH else m
-                for m in self.chans[key])
+        chans = self.chans
+        for i, chan in enumerate(chans):
+            if chan:
+                chans[i] = tuple(m._replace(tag=STALE) if m.tag == FRESH
+                                 else m for m in chan)
 
     def new_epoch(self, agent: int) -> None:
         """``agent``'s copy just died (or was replaced in place): any
@@ -224,12 +244,12 @@ class World:
         sequence number.  The runtime's ``line.seq <= msg.seq`` guard
         makes the cache ack-and-ignore those stale INVs; mark them so
         the model can do the same."""
-        for key in _CHANNELS:
-            if key[1] != agent:
+        chans = self.chans
+        for i, (_, dst) in enumerate(_CHANNELS):
+            if dst != agent or not chans[i]:
                 continue
-            self.chans[key] = tuple(
-                replace(m, stale_epoch=True) if m.type == "INV" else m
-                for m in self.chans[key])
+            chans[i] = tuple(m._replace(stale_epoch=True)
+                             if m.type == "INV" else m for m in chans[i])
 
 
 def initial_world(max_ops: int) -> World:
@@ -237,7 +257,7 @@ def initial_world(max_ops: int) -> World:
                  budget=[max_ops, max_ops], poisoned=[False, False],
                  home="", owner=None,
                  sharers=frozenset(), mem=FRESH, open_txn=None,
-                 queue=(), chans={c: () for c in _CHANNELS},
+                 queue=(), chans=[() for _ in _CHANNELS],
                  early_wb=frozenset())
 
 
@@ -245,9 +265,8 @@ def initial_world(max_ops: int) -> World:
 # when-predicate evaluation
 # ---------------------------------------------------------------------
 
-def _when_ok(when: str, *, msg: Optional[Msg], world: World,
-             agent: Optional[int], retain: bool,
-             threshold: int) -> bool:
+def _when_ok(when: str, msg: Optional[Msg], world: World,
+             agent: Optional[int], retain: bool, threshold: int) -> bool:
     """Evaluate one WHEN_VOCABULARY predicate in context."""
     sharers = world.sharers
     if when == "requester_is_sharer":
@@ -283,14 +302,6 @@ def _when_ok(when: str, *, msg: Optional[Msg], world: World,
     if when == "requester_not_wrote_back":
         return msg.requester not in world.early_wb
     raise ValueError(f"unknown when-predicate {when!r}")
-
-
-def _select_rows(rows: List[TransitionRow], **ctx) -> List[TransitionRow]:
-    """Filter a (state, event) row set by their ``when`` predicates.
-    Rows without a ``when`` always stay: if several remain, the
-    explorer branches on all of them (sound over-approximation)."""
-    return [r for r in rows
-            if r.when is None or _when_ok(r.when, **ctx)]
 
 
 # ---------------------------------------------------------------------
@@ -354,20 +365,51 @@ class SpecGraphExplorer:
             "cache": set(), "home": set()}
         self.visited_rows: Dict[str, Set[TransitionRow]] = {
             "cache": set(), "home": set()}
-        self.parent: Dict[tuple, Tuple[Optional[tuple], Step]] = {}
-        self.succs: Dict[tuple, List[tuple]] = {}
-        self.quiescent: Set[tuple] = set()
-        self.violations: List[Tuple[str, str, tuple,
-                                    Tuple[Tuple[str, TransitionRow],
-                                          ...]]] = []
+        # states are numbered 0, 1, ... in BFS order; these lists are
+        # indexed by that id
+        self.parent: List[Tuple[Optional[int], Step]] = []
+        self.succs: List[List[int]] = []
+        #: ids of the quiescent states, ascending
+        self.quiescent: List[int] = []
+        #: (kind, detail, state id)
+        self.violations: List[Tuple[str, str, int]] = []
         self.truncated = False
+        # (side, state, event) -> the rows row_filter keeps, built lazily
+        self._index: Dict[Tuple[str, str, str],
+                          Tuple[TransitionRow, ...]] = {}
+        self._local_events = tuple(sorted(
+            e for e in spec.cache.events if e.startswith(LOCAL_PREFIX)))
 
     # -- row lookup ---------------------------------------------------
 
-    def _rows(self, side: SideSpec, state: str, event: str,
-              **ctx) -> List[TransitionRow]:
-        rows = [r for r in side.rows_for(state, event)
-                if self.row_filter(r)]
+    def _indexed(self, side: SideSpec, state: str, event: str
+                 ) -> Tuple[TransitionRow, ...]:
+        """The rows for (state, event), wildcard rows included, that
+        pass ``row_filter``."""
+        key = (side.name, state, event)
+        rows = self._index.get(key)
+        if rows is None:
+            rows = self._index[key] = tuple(
+                r for r in side.rows_for(state, event)
+                if self.row_filter(r))
+        return rows
+
+    def _select(self, rows: Tuple[TransitionRow, ...], world: World,
+                msg: Optional[Msg], agent: Optional[int]
+                ) -> List[TransitionRow]:
+        """Filter a (state, event) row set by their ``when`` predicates.
+        Rows without a ``when`` always stay: if several remain, the
+        explorer branches on all of them (sound over-approximation)."""
+        return [r for r in rows
+                if r.when is None
+                or _when_ok(r.when, msg, world, agent, self.retain,
+                            self.threshold)]
+
+    def _rows(self, side: SideSpec, state: str, world: World, msg: Msg,
+              agent: Optional[int] = None) -> List[TransitionRow]:
+        """The rows a delivery of ``msg`` fires."""
+        event = msg.type
+        rows = self._indexed(side, state, event)
         if not rows:
             imp = side.impossible_for(state, event)
             if imp is not None:
@@ -379,10 +421,7 @@ class SpecGraphExplorer:
                 "missing-row", side.name, state, event,
                 f"({state}, {event}) is reachable but has neither a "
                 f"row nor an impossible entry")
-        return _select_rows(rows, msg=ctx.get("msg"),
-                            world=ctx["world"], agent=ctx.get("agent"),
-                            retain=self.retain,
-                            threshold=self.threshold)
+        return self._select(rows, world, msg, agent)
 
     # -- cache side ---------------------------------------------------
 
@@ -564,8 +603,7 @@ class SpecGraphExplorer:
                             and w.copy[t] is None
                             and not any(
                                 m.dst == t and m.type in _DATA_GRANTS
-                                for c in _CHANNELS
-                                for m in w.chans[c]))
+                                for chan in w.chans for m in chan))
                         w.push(Msg(mtype, HOME, t, msg.requester,
                                    tag=tag, stale_epoch=born_stale))
                 elif mtype in _HOME_TO_REQUESTER:
@@ -667,8 +705,7 @@ class SpecGraphExplorer:
     def _dispatch_home(self, world: World, msg: Msg,
                        steps: List[Tuple[str, TransitionRow]]
                        ) -> List[World]:
-        rows = self._rows(self.spec.home, world.home, msg.type,
-                          world=world, msg=msg)
+        rows = self._rows(self.spec.home, world.home, world, msg)
         out: List[World] = []
         for row in rows:
             self.visited_rows["home"].add(row)
@@ -679,8 +716,8 @@ class SpecGraphExplorer:
     def _dispatch_cache(self, world: World, agent: int, msg: Msg,
                         steps: List[Tuple[str, TransitionRow]]
                         ) -> List[World]:
-        rows = self._rows(self.spec.cache, world.cstate[agent],
-                          msg.type, world=world, msg=msg, agent=agent)
+        rows = self._rows(self.spec.cache, world.cstate[agent], world,
+                          msg, agent)
         out: List[World] = []
         for row in rows:
             self.visited_rows["cache"].add(row)
@@ -689,6 +726,8 @@ class SpecGraphExplorer:
         return out
 
     # -- successor generation -----------------------------------------
+    # Successors come as (world, step label, step rows): ``run`` makes
+    # a Step only for a state it has not seen.
 
     def _initial(self) -> World:
         w = initial_world(self.max_ops)
@@ -696,24 +735,20 @@ class SpecGraphExplorer:
         w.home = self.spec.home.initial
         return w
 
-    def _local_successors(self, world: World
-                          ) -> List[Tuple[World, Step]]:
-        out: List[Tuple[World, Step]] = []
+    def _local_successors(self, world: World, frozen: tuple
+                          ) -> List[Tuple[World, str, tuple]]:
+        out: List[Tuple[World, str, tuple]] = []
+        cache = self.spec.cache
         for agent in AGENTS:
             if world.budget[agent] <= 0:
                 continue
-            for event in sorted(
-                    e for e in self.spec.cache.events
-                    if e.startswith(LOCAL_PREFIX)):
-                rows = [r for r in self.spec.cache.rows_for(
-                            world.cstate[agent], event)
-                        if self.row_filter(r)]
+            for event in self._local_events:
                 # no row for a local stimulus = the processor stalls
                 # at this transient; that is progress-by-waiting, not
                 # a completeness hole (deliveries must still drain)
-                rows = _select_rows(rows, msg=None, world=world,
-                                    agent=agent, retain=self.retain,
-                                    threshold=self.threshold)
+                rows = self._select(
+                    self._indexed(cache, world.cstate[agent], event),
+                    world, None, agent)
                 for row in rows:
                     succ = self._apply_cache_row(world, agent, row,
                                                  None)
@@ -721,39 +756,36 @@ class SpecGraphExplorer:
                     # hit exercises its row even though the self-loop
                     # successor is skipped
                     self.visited_rows["cache"].add(row)
-                    if succ.freeze() == world.freeze():
+                    if succ.freeze() == frozen:
                         continue        # pure hit: a no-op self-loop
                     succ.budget[agent] -= 1
-                    out.append((succ, Step(
-                        f"agent {agent}: {event}",
-                        (("cache", row),))))
+                    out.append((succ, f"agent {agent}: {event}",
+                                (("cache", row),)))
         return out
 
     def _delivery_successors(self, world: World
-                             ) -> List[Tuple[World, Step]]:
-        out: List[Tuple[World, Step]] = []
-        for chan in _CHANNELS:
-            if not world.chans[chan]:
+                             ) -> List[Tuple[World, str, tuple]]:
+        out: List[Tuple[World, str, tuple]] = []
+        for ci, chan in enumerate(world.chans):
+            if not chan:
                 continue
-            msg = world.chans[chan][0]
+            msg = chan[0]
             base = world.clone()
-            base.chans[chan] = base.chans[chan][1:]
+            base.chans[ci] = chan[1:]
             steps: List[Tuple[str, TransitionRow]] = []
             if msg.type == "INV" and msg.stale_epoch:
                 # the runtime's seq guard: an INV that targeted a
                 # replaced copy is acked and otherwise ignored.  The
                 # spec's pure-ack INV rows describe exactly this path,
                 # so taking it covers them.
-                for r in self.spec.cache.rows_for(
-                        world.cstate[msg.dst], "INV"):
-                    if "invalidate" not in r.actions \
-                            and self.row_filter(r):
+                for r in self._indexed(self.spec.cache,
+                                       world.cstate[msg.dst], "INV"):
+                    if "invalidate" not in r.actions:
                         self.visited_rows["cache"].add(r)
                 base.push(Msg("INV_ACK", msg.dst, msg.requester,
                               msg.requester))
-                out.append((base, Step(
-                    f"deliver {msg.label()} (stale epoch: "
-                    f"ack-and-ignore)")))
+                out.append((base, f"deliver {msg.label()} (stale "
+                                  f"epoch: ack-and-ignore)", ()))
                 continue
             if msg.dst == HOME:
                 succs = self._dispatch_home(base, msg, steps)
@@ -764,14 +796,14 @@ class SpecGraphExplorer:
                 if msg.nacks:
                     for s in succs:
                         s.acks[msg.dst] += msg.nacks
-            for s in succs:
-                out.append((s, Step(f"deliver {msg.label()}",
-                                    tuple(steps))))
+            label, rows = f"deliver {msg.label()}", tuple(steps)
+            out.extend((s, label, rows) for s in succs)
         return out
 
-    def _successors(self, world: World) -> List[Tuple[World, Step]]:
+    def _successors(self, world: World, frozen: tuple
+                    ) -> List[Tuple[World, str, tuple]]:
         return (self._delivery_successors(world)
-                + self._local_successors(world))
+                + self._local_successors(world, frozen))
 
     # -- quiescence and the data checks --------------------------------
 
@@ -784,8 +816,9 @@ class SpecGraphExplorer:
                 and not world.in_flight()
                 and world.acks == [0, 0])
 
-    def _data_violations(self, world: World, frozen: tuple) -> None:
-        if self._is_quiescent(world):
+    def _data_violations(self, world: World, sid: int,
+                         quiescent: bool) -> None:
+        if quiescent:
             for agent in AGENTS:
                 cp = world.copy[agent]
                 if cp is not None and cp[0] != FRESH:
@@ -794,13 +827,13 @@ class SpecGraphExplorer:
                         f"agent {agent} rests with a {cp[0]}-tagged "
                         f"copy in {world.cstate[agent]}: a local read "
                         f"would return a value older than the last "
-                        f"serialized write", frozen, ()))
+                        f"serialized write", sid))
             if world.owner is None and world.mem != FRESH:
                 self.violations.append((
                     "stale-copy",
                     f"memory rests {world.mem}-tagged with no "
                     f"recorded owner: the next miss is served stale "
-                    f"data", frozen, ()))
+                    f"data", sid))
         for agent in AGENTS:
             cp = world.copy[agent]
             if cp is not None and cp[1] >= self.threshold:
@@ -810,37 +843,42 @@ class SpecGraphExplorer:
                     f"competitive threshold ({cp[1]} >= "
                     f"{self.threshold}): the line never drops and "
                     f"every remote write keeps paying the update",
-                    frozen, ()))
+                    sid))
 
     # -- the BFS driver ------------------------------------------------
 
     def run(self) -> None:
+        """Number each new state in BFS order and expand it once.  The
+        exact frozen tuple is the dedup key; it is interned to its id
+        here, and each world is dropped once it has been expanded."""
         start = self._initial()
         start_frozen = start.freeze()
-        worlds: Dict[tuple, World] = {start_frozen: start}
-        self.parent[start_frozen] = (None, Step("start"))
-        order = [start_frozen]
+        ids: Dict[tuple, int] = {start_frozen: 0}
+        self.parent.append((None, Step("start")))
+        # (world, frozen) of the states not yet expanded, in id order
+        pending = deque([(start, start_frozen)])
         seen_violations: Set[tuple] = set()
-        i = 0
-        while i < len(order):
-            frozen = order[i]
-            i += 1
-            world = worlds[frozen]
+        while pending:
+            world, frozen = pending.popleft()
+            sid = len(self.succs)
+            kids: List[int] = []
+            self.succs.append(kids)
             self.visited_states["cache"].update(world.cstate)
             self.visited_states["home"].add(world.home)
-            if self._is_quiescent(world):
-                self.quiescent.add(frozen)
+            quiescent = self._is_quiescent(world)
+            if quiescent:
+                self.quiescent.append(sid)
             n_before = len(self.violations)
-            self._data_violations(world, frozen)
+            self._data_violations(world, sid, quiescent)
             try:
-                succs = self._successors(world)
+                succs = self._successors(world, frozen)
             except _Stuck as stuck:
                 key = (stuck.finding_kind, stuck.side, stuck.state,
                        stuck.event)
                 if key not in seen_violations:
                     seen_violations.add(key)
                     self.violations.append((
-                        stuck.finding_kind, stuck.detail, frozen, ()))
+                        stuck.finding_kind, stuck.detail, sid))
                 continue
             self.violations = (
                 self.violations[:n_before]
@@ -848,64 +886,63 @@ class SpecGraphExplorer:
                    if v[:2] not in seen_violations])
             for v in self.violations[n_before:]:
                 seen_violations.add(v[:2])
-            if not succs and not self._is_quiescent(world):
+            if not succs and not quiescent:
                 self.violations.append((
                     "deadlock",
                     f"non-quiescent state has no successor: cache="
                     f"{tuple(world.cstate)} home={world.home} "
                     f"in-flight="
-                    f"{[m.label() for c in _CHANNELS for m in world.chans[c]]} "
-                    f"acks={tuple(world.acks)}", frozen, ()))
+                    f"{[m.label() for chan in world.chans for m in chan]} "
+                    f"acks={tuple(world.acks)}", sid))
                 continue
-            kids = self.succs.setdefault(frozen, [])
-            for succ, step in succs:
+            for succ, label, rows in succs:
                 sf = succ.freeze()
-                kids.append(sf)
-                if sf not in self.parent:
-                    if len(worlds) >= self.max_states:
+                kid = ids.get(sf)
+                if kid is None:
+                    if len(ids) >= self.max_states:
                         self.truncated = True
                         continue
-                    worlds[sf] = succ
-                    self.parent[sf] = (frozen, step)
-                    order.append(sf)
-        self._check_livelock(order)
+                    kid = ids[sf] = len(ids)
+                    self.parent.append((sid, Step(label, rows)))
+                    pending.append((succ, sf))
+                kids.append(kid)
+        self._check_livelock()
 
-    def _check_livelock(self, order: List[tuple]) -> None:
+    def _check_livelock(self) -> None:
         """Reverse reachability from the quiescent set: every explored
         state must be able to drain back to rest."""
         if self.truncated:
             return              # frontier cut: reachability is partial
-        rev: Dict[tuple, List[tuple]] = {}
-        for src, kids in self.succs.items():
+        rev: List[List[int]] = [[] for _ in self.succs]
+        for src, kids in enumerate(self.succs):
             for kid in kids:
-                rev.setdefault(kid, []).append(src)
-        can_rest: Set[tuple] = set(self.quiescent)
+                rev[kid].append(src)
+        can_rest = bytearray(len(self.succs))
+        for sid in self.quiescent:
+            can_rest[sid] = 1
         stack = list(self.quiescent)
         while stack:
-            node = stack.pop()
-            for pred in rev.get(node, ()):
-                if pred not in can_rest:
-                    can_rest.add(pred)
+            for pred in rev[stack.pop()]:
+                if not can_rest[pred]:
+                    can_rest[pred] = 1
                     stack.append(pred)
-        reported = 0
-        for frozen in order:
-            if frozen not in can_rest and reported < 1:
-                reported += 1
-                self.violations.append((
-                    "livelock",
-                    "reachable state from which no quiescent state "
-                    "is reachable: an in-flight transaction can "
-                    "never complete", frozen, ()))
+        # report the first such state in BFS order, i.e. the lowest id
+        stuck = can_rest.find(0)
+        if stuck >= 0:
+            self.violations.append((
+                "livelock",
+                "reachable state from which no quiescent state "
+                "is reachable: an in-flight transaction can "
+                "never complete", stuck))
 
     # -- counterexample reconstruction ---------------------------------
 
-    def path_to(self, frozen: tuple) -> List[Step]:
+    def path_to(self, sid: int) -> List[Step]:
         steps: List[Step] = []
-        node: Optional[tuple] = frozen
+        node: Optional[int] = sid
         while node is not None:
-            parent, step = self.parent[node]
+            node, step = self.parent[node]
             steps.append(step)
-            node = parent
         steps.reverse()
         return steps
 
@@ -926,7 +963,7 @@ class _RowLocator:
         for fn in self._builders(protocol):
             try:
                 lines, first = inspect.getsourcelines(fn)
-                path = os.path.relpath(inspect.getsourcefile(fn))
+                path = source_path(inspect.getsourcefile(fn))
             except (OSError, TypeError):     # pragma: no cover
                 continue
             self._sources.append((path, first, lines))
@@ -1062,13 +1099,13 @@ def check_spec_graph(protocol, spec: Optional[ProtocolSpec] = None,
                           "states": len(ex.parent),
                           "quiescent": len(ex.quiescent),
                           "truncated": ex.truncated})
-        for kind, detail, frozen, _rows in ex.violations:
+        for kind, detail, sid in ex.violations:
             if (kind, detail) in seen:
                 continue
             seen.add((kind, detail))
             n = counters[kind] = counters.get(kind, 0) + 1
             ident = f"{proto}/graph-{kind}/{n}"
-            steps = ex.path_to(frozen)
+            steps = ex.path_to(sid)
             path_json = [s.to_json(locator.locate) for s in steps]
             counterexamples.append({"ident": ident, "kind": kind,
                                     "run": run["label"],

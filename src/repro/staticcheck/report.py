@@ -12,6 +12,7 @@ exit code.  Suppressions that match nothing are themselves reported as
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -19,6 +20,20 @@ from typing import Dict, List, Optional
 #: unsuppressed finding); "error" findings are protocol holes, "warn"
 #: findings are hygiene (stale suppressions, orphan message types)
 SEVERITIES = ("error", "warn")
+
+#: the checkout root: the directory that holds ``src/repro``
+_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
+
+
+def source_path(path: str) -> str:
+    """``path`` relative to the checkout root, so a finding's
+    ``file:line`` reads the same wherever the CLI runs; a file outside
+    the checkout keeps its absolute path."""
+    path = os.path.abspath(path)
+    if path.startswith(_ROOT + os.sep):
+        return os.path.relpath(path, _ROOT)
+    return path
 
 
 @dataclass

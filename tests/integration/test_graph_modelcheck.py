@@ -5,8 +5,10 @@ The dynamic checker runs the mutation's witness litmus program on the
 real simulator; the graph explorer sees only the mutated tables.  Both
 must flag every mutation, and the explorer must localize it to the
 violation kind the mutation was seeded to produce, with a spec-level
-counterexample path.  The PU/CU product graphs take a minute or two
-each to exhaust, hence the ``slow`` marks."""
+counterexample path.  The mutated PU and CU product graphs take about
+40 s and 60 s of CPU to exhaust (2-vCPU Intel Xeon VM, Python 3.11),
+hence the ``slow`` marks.  Each mutant's graph record must also equal
+the one pinned in ``tests/data/staticcheck/graph-golden.json``."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from repro.protospec import get_spec
 from repro.staticcheck import (
     SPEC_MUTATIONS, apply_spec_mutation, check_spec_graph,
 )
+from tests.unit.test_graph_golden import assert_matches_golden
 
 _SLOW = {"pu-upd-prop-overwrite", "cu-counter-stuck"}
 
@@ -57,3 +60,5 @@ def test_both_checkers_flag_the_mutation(name):
         f"{set(spec_mut.expect)}")
     assert graph["counterexamples"], (
         f"{name}: no spec-level counterexample path emitted")
+    # and exactly the record pinned in the graph golden
+    assert_matches_golden(name, graph)

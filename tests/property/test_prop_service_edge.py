@@ -343,14 +343,12 @@ NONFINITE_LITERALS = st.sampled_from(
 
 
 @st.composite
-def wrong_run_bodies(draw, in_sweep: bool = False) -> dict:
-    """A run body with one wrong field (a sweep ignores the
-    ``deadline_s`` of its specs, so there it is not wrong)."""
+def wrong_run_bodies(draw) -> dict:
+    """A run body with one wrong field."""
     body = json.loads(json.dumps(RUN_BODY))
     where = draw(st.sampled_from(["run", "config", "unknown"]))
     if where == "run":
-        field = draw(st.sampled_from(sorted(
-            set(RUN_WRONG) - ({"deadline_s"} if in_sweep else set()))))
+        field = draw(st.sampled_from(sorted(RUN_WRONG)))
         body[field] = draw(RUN_WRONG[field])
     elif where == "config":
         field = draw(st.sampled_from(sorted(CONFIG_WRONG)))
@@ -368,7 +366,7 @@ def wrong_sweep_bodies(draw) -> dict:
     if field == "specs":
         return {"specs": draw(st.one_of(
             _INTS, _TEXT, _DICTS, st.booleans(), st.none(), st.just([]),
-            st.lists(wrong_run_bodies(in_sweep=True), min_size=1,
+            st.lists(wrong_run_bodies(), min_size=1,
                      max_size=2)))}
     return dict(SWEEP_BODY, **{field: draw(SWEEP_WRONG[field])})
 

@@ -157,6 +157,18 @@ class TestSweepRequests:
     def test_needs_figure_or_specs(self):
         err400(api.sweep_from_request, {}, None)
 
+    @pytest.mark.parametrize("deadline", [-1, "soon", True, 0])
+    def test_raw_spec_deadline_validated_like_run(self, deadline):
+        item = dict(RUN_BODY, deadline_s=deadline)
+        run_msg = err400(api.run_from_request, item, None)
+        assert err400(api.sweep_from_request, {"specs": [item]},
+                      None) == run_msg
+
+    def test_valid_raw_spec_deadline_is_ignored(self):
+        _, points, deadline = api.sweep_from_request(
+            {"specs": [dict(RUN_BODY, deadline_s=5)]}, 300.0)
+        assert len(points) == 1 and deadline == 300.0
+
 
 def body_400(fn, raw: bytes) -> str:
     """``raw`` parsed by ``Request.json()`` then validated by ``fn``:

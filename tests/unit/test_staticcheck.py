@@ -234,6 +234,19 @@ def test_seeded_mutations_are_detected_statically(mutation):
     assert check_conformance(spec, cls) == []
 
 
+def test_conformance_files_do_not_depend_on_the_working_directory(
+        monkeypatch, tmp_path):
+    from repro.modelcheck.mutations import get_mutation
+
+    monkeypatch.chdir(tmp_path)
+    mut = get_mutation("wi-skip-invalidation")
+    with mut.activate():
+        findings = check_conformance(get_spec("wi"),
+                                     _CTRL_CLASSES[mut.protocol])
+    files = {f.file for f in findings if f.file}
+    assert files and all(f.startswith("src/repro/") for f in files), files
+
+
 # --- suppressions -----------------------------------------------------
 
 def _manifest(tmp_path, entries):
