@@ -151,6 +151,11 @@ class RunSpec:
     params: Tuple[Tuple[str, Any], ...] = ()
     code_version: str = field(default_factory=code_version)
 
+    #: :attr:`key`, once computed.  Not a field, so it stays out of
+    #: equality, hashing, repr and ``dataclasses.replace``; set through
+    #: ``object.__setattr__`` like ``MachineConfig._block_shift``.
+    _key = None
+
     @classmethod
     def make(cls, workload: str, config: MachineConfig,
              code_version_salt: str = None, **params: Any) -> "RunSpec":
@@ -192,9 +197,24 @@ class RunSpec:
 
     @property
     def key(self) -> str:
-        """Content hash of the spec (the result-cache key)."""
-        text = canonical_json(self.to_jsonable())
-        return hashlib.sha256(text.encode()).hexdigest()
+        """Content hash of the spec (the result-cache key).
+
+        Computed on first use and kept: every field is immutable, and
+        ``spec_hash`` is fixed for the life of the process.
+        """
+        key = self._key
+        if key is None:
+            text = canonical_json(self.to_jsonable())
+            key = hashlib.sha256(text.encode()).hexdigest()
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # the memo is per process, like spec_hash's: a pickled spec is
+        # keyed again against the receiving process's protocol tables
+        state = dict(self.__dict__)
+        state.pop("_key", None)
+        return state
 
     def describe(self) -> str:
         """Short human label: workload, machine point, parameters."""

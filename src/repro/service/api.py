@@ -36,6 +36,12 @@ SWEEP_KEYS = frozenset({"figure", "scale", "sizes", "procs", "sanitize",
 #: hard ceiling on specs per sweep request (far above any figure)
 MAX_SWEEP_SPECS = 4096
 
+#: the largest machine a request may ask for: a worker builds per-pair
+#: tables (num_procs²) and per-node tag arrays (num_procs × cache
+#: lines) before it simulates anything; 128× the paper's 32 × 1024
+MAX_PROCS = 1024
+MAX_CACHE_LINES = 1 << 22
+
 #: MachineConfig fields that hold a Protocol
 _PROTOCOL_FIELDS = ("protocol", "hybrid_default")
 
@@ -86,9 +92,23 @@ def machine_config_from_request(data: Any) -> MachineConfig:
                 raise _bad(str(exc)) from None
         kwargs[key] = value
     try:
-        return MachineConfig(**kwargs)
+        config = MachineConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise _bad(f"bad config: {exc}") from None
+    _check_size(config)
+    return config
+
+
+def _check_size(config: MachineConfig) -> None:
+    """A 400 for a machine over :data:`MAX_PROCS` nodes or
+    :data:`MAX_CACHE_LINES` cache lines in all."""
+    if config.num_procs > MAX_PROCS:
+        raise _bad(f"num_procs {config.num_procs} exceeds the service's "
+                   f"limit of {MAX_PROCS}")
+    lines = config.num_procs * config.num_cache_lines
+    if lines > MAX_CACHE_LINES:
+        raise _bad(f"num_procs x cache lines = {lines} exceeds the "
+                   f"service's limit of {MAX_CACHE_LINES}")
 
 
 def _deadline_from(data: Mapping[str, Any],
@@ -205,5 +225,7 @@ def sweep_from_request(data: Any, default_deadline: Optional[float]
                                sanitize=sanitize)
     except (TypeError, ValueError) as exc:
         raise _bad(f"bad sweep parameters: {exc}") from None
+    for pt in points:
+        _check_size(pt.spec.config)
     return fid, [SweepPoint(pt.label, pt.x, pt.spec)
                  for pt in points], deadline

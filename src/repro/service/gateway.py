@@ -201,7 +201,7 @@ class Gateway(HttpServer):
     async def _h_result(self, req, writer, keep) -> Tuple[int, bool]:
         key = result_key(req.path)
         self._check_ownership(key)
-        record = self.cache.get(key) if self.cache is not None else None
+        record = self.scheduler.lookup(key)
         if record is not None:
             writer.write(json_response(
                 200, {"key": key, "record": record.to_jsonable()},

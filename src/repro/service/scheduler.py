@@ -132,6 +132,15 @@ class SimScheduler:
     def inflight_key(self, key: str) -> Optional["asyncio.Task"]:
         return self._inflight.get(key)
 
+    def lookup(self, key: str) -> Optional[RunRecord]:
+        """The cached record for ``key``, or None; counted as a cache
+        hit or miss (no cache, no lookup)."""
+        if self.cache is None:
+            return None
+        record = self.cache.get(key)
+        self.m_cache.inc(result="miss" if record is None else "hit")
+        return record
+
     def _update_gauges(self) -> None:
         self.m_queue.set(max(0, self._pending - self._running))
         self.m_inflight.set(self._running)
@@ -170,15 +179,11 @@ class SimScheduler:
             if key in new_specs:
                 self.m_dedup.inc()
                 continue                  # resolved with the batch below
-            record = self.cache.get(key) if self.cache is not None \
-                else None
+            record = self.lookup(key)
             if record is not None:
-                self.m_cache.inc(result="hit")
                 self.m_specs.inc(status="cached")
                 out[i] = record
                 continue
-            if self.cache is not None:
-                self.m_cache.inc(result="miss")
             new_specs[key] = spec
 
         if new_specs:

@@ -18,7 +18,9 @@ import time
 
 import pytest
 
-from repro.campaign import CampaignRunner, ResultCache, RunRecord, RunSpec
+from repro.campaign import (
+    CampaignRunner, ResultCache, RunRecord, RunSpec, execute_spec,
+)
 from repro.config import ExperimentScale, MachineConfig, Protocol
 from repro.experiments.figures import figure_points
 from repro.service import Gateway, ServiceConfig, SimScheduler
@@ -220,6 +222,28 @@ class TestBackpressure:
             gw._draining = False
 
         serve(check, scheduler=BlockingScheduler(jobs=1))
+
+
+class TestResultLookups:
+    def test_result_lookups_are_counted(self, tmp_path):
+        """``GET /v1/result`` is a result-cache lookup: a served record
+        counts a hit, a 404 a miss."""
+        cache = ResultCache(tmp_path / "cache")
+        spec = tiny_spec()
+        cache.put(execute_spec(spec))
+
+        async def check(gw, client):
+            lookups = gw.registry.get("repro_cache_lookups_total")
+            status, _, _ = await client.request(
+                "GET", f"/v1/result/{spec.key}")
+            assert status == 200
+            status, _, _ = await client.request(
+                "GET", "/v1/result/" + "0" * 64)
+            assert status == 404
+            assert lookups.value(result="hit") == 1
+            assert lookups.value(result="miss") == 1
+
+        serve(check, scheduler=BlockingScheduler(jobs=1, cache=cache))
 
 
 class TestValidationOverHttp:

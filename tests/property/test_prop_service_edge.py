@@ -312,6 +312,15 @@ CONFIG_WRONG["protocol"] = st.one_of(
     _NOT_STR, st.sampled_from(["dragon", "", "w i", "moesi"]))
 CONFIG_WRONG["hybrid_default"] = st.one_of(
     _NOT_STR, st.sampled_from(["hybrid", "dragon"]))
+#: machines over the service's size limits (RUN_BODY's machine has 2
+#: nodes and 64-byte blocks)
+_TOO_MANY_PROCS = st.integers(api.MAX_PROCS + 1, 10**7)
+CONFIG_WRONG["num_procs"] = st.one_of(CONFIG_WRONG["num_procs"],
+                                      _TOO_MANY_PROCS)
+CONFIG_WRONG["cache_size_bytes"] = st.one_of(
+    CONFIG_WRONG["cache_size_bytes"],
+    st.integers(api.MAX_CACHE_LINES // 2 + 1, 1 << 34).map(
+        lambda lines: 64 * lines))
 SWEEP_WRONG = {
     "figure": st.one_of(_NOT_STR, st.none(),
                         st.sampled_from(["", "fig99", "FIG9", "fig"])),
@@ -324,9 +333,13 @@ SWEEP_WRONG = {
         _INTS, _TEXT, _DICTS, st.booleans(), st.none(), st.just([]),
         st.lists(st.one_of(st.integers(max_value=0), _TEXT,
                            st.booleans(), _FLOATS, st.none()),
-                 min_size=1, max_size=3)),
+                 min_size=1, max_size=3),
+        st.builds(lambda ok, big: ok + [big],
+                  st.lists(st.integers(1, 32), max_size=2),
+                  _TOO_MANY_PROCS)),
     "procs": st.one_of(_TEXT, _LISTS, _DICTS, st.booleans(), st.none(),
-                       _FLOATS, st.integers(max_value=0)),
+                       _FLOATS, st.integers(max_value=0),
+                       _TOO_MANY_PROCS),
     "sanitize": _NOT_BOOL,
     "full_records": _NOT_BOOL,
     "deadline_s": _BAD_DEADLINE,
@@ -368,7 +381,10 @@ def wrong_sweep_bodies(draw) -> dict:
             _INTS, _TEXT, _DICTS, st.booleans(), st.none(), st.just([]),
             st.lists(wrong_run_bodies(), min_size=1,
                      max_size=2)))}
-    return dict(SWEEP_BODY, **{field: draw(SWEEP_WRONG[field])})
+    body = dict(SWEEP_BODY, **{field: draw(SWEEP_WRONG[field])})
+    if field == "sizes":
+        body["figure"] = "fig8"     # a latency figure: sizes are its x
+    return body
 
 
 @st.composite
@@ -399,6 +415,10 @@ def non_finite_bodies(draw):
     "block_size_bytes": 0}))
 @example(server="router", body=dict(RUN_BODY, config={
     "word_size_bytes": 0}))
+@example(server="gateway", body=dict(RUN_BODY, config={
+    "num_procs": 1_000_000, "cache_size_bytes": 2**40}))
+@example(server="router", body=dict(RUN_BODY, config={
+    "num_procs": 1, "cache_size_bytes": 2**40}))
 def test_wrong_run_fields(edge, server, body):
     edge.check(server, post("/v1/run", json.dumps(body).encode()))
 
@@ -407,6 +427,9 @@ def test_wrong_run_fields(edge, server, body):
 @given(server=SERVERS, body=wrong_sweep_bodies())
 @example(server="gateway", body=dict(SWEEP_BODY, scale=1e308))
 @example(server="router", body=dict(SWEEP_BODY, scale=1e308))
+@example(server="gateway", body=dict(SWEEP_BODY, procs=10**6))
+@example(server="router", body=dict(SWEEP_BODY, figure="fig8",
+                                    sizes=[2, 10**6]))
 def test_wrong_sweep_fields(edge, server, body):
     edge.check(server, post("/v1/sweep", json.dumps(body).encode()))
 

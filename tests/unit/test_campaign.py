@@ -1,8 +1,12 @@
 """Unit tests for the campaign layer: spec hashing, result
 serialization, the content-addressed cache, and the runner."""
 
+import copy
+import dataclasses
+import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -103,6 +107,62 @@ class TestSpecHash:
         assert code_version() == "pinned-by-env"
         spec = lock_spec()
         assert spec.code_version == "pinned-by-env"
+
+
+def fresh_key(spec: RunSpec) -> str:
+    """The key as computed from scratch, bypassing the memo."""
+    text = canonical_json(spec.to_jsonable())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestKeyMemo:
+    """``RunSpec.key`` is computed once per spec object and kept."""
+
+    @pytest.mark.parametrize("how", ["make", "from_jsonable", "replace",
+                                     "copy", "pickle"])
+    def test_memo_equals_a_fresh_key(self, how):
+        source = lock_spec()
+        source.key                      # memoized before the copy
+        spec = {
+            "make": lambda: lock_spec(),
+            "from_jsonable": lambda: RunSpec.from_jsonable(
+                json.loads(canonical_json(source.to_jsonable()))),
+            "replace": lambda: dataclasses.replace(
+                source, params=(("kind", "MCS"),)),
+            "copy": lambda: copy.copy(source),
+            "pickle": lambda: pickle.loads(pickle.dumps(source)),
+        }[how]()
+        assert spec.key == fresh_key(spec)
+        assert spec.key == spec.key
+
+    def test_replaced_spec_does_not_inherit_the_key(self):
+        source = lock_spec()
+        old = source.key
+        other = dataclasses.replace(source, workload="barrier")
+        assert other.key != old
+        assert other.key == fresh_key(other)
+        same = dataclasses.replace(source)
+        assert "_key" not in vars(same)
+        assert same.key == old
+
+    def test_pickle_leaves_the_memo_behind(self):
+        spec = lock_spec()
+        spec.key
+        assert "_key" not in vars(pickle.loads(pickle.dumps(spec)))
+
+    def test_reading_the_key_changes_nothing_observable(self):
+        spec, twin = lock_spec(), lock_spec()
+        before = (hash(spec), repr(spec), spec.to_jsonable())
+        spec.key
+        assert (hash(spec), repr(spec), spec.to_jsonable()) == before
+        assert spec == twin and hash(spec) == hash(twin)
+        assert "_key" not in repr(spec)
+        assert dataclasses.asdict(spec) == dataclasses.asdict(twin)
+
+    def test_key_stays_a_property(self):
+        """A span wrapper replaces ``RunSpec.key`` as a property; a
+        ``functools.cached_property`` would break that."""
+        assert isinstance(vars(RunSpec)["key"], property)
 
 
 # ----------------------------------------------------------------------

@@ -224,3 +224,53 @@ class TestClientSideNumbers:
         req = Request(method="POST", target="/", path="/", query={},
                       headers={}, body=raw)
         assert req.json() == json.loads(raw)
+
+
+class TestMachineSizeLimit:
+    """A request may not ask for a machine whose tables alone would
+    exhaust a worker: over ``MAX_PROCS`` nodes or ``MAX_CACHE_LINES``
+    cache lines in all is a 400 naming the limit, on every route that
+    yields specs."""
+
+    @pytest.mark.parametrize("config, limit", [
+        ({"num_procs": api.MAX_PROCS + 1}, api.MAX_PROCS),
+        ({"num_procs": 1_000_000, "cache_size_bytes": 2**40},
+         api.MAX_PROCS),
+        ({"num_procs": 1, "cache_size_bytes": 2**40},
+         api.MAX_CACHE_LINES),
+        ({"num_procs": api.MAX_PROCS,
+          "cache_size_bytes": 64 * (api.MAX_CACHE_LINES
+                                    // api.MAX_PROCS + 1)},
+         api.MAX_CACHE_LINES),
+    ])
+    def test_run_over_the_limit(self, config, limit):
+        body = dict(RUN_BODY, config=config)
+        msg = err400(api.run_from_request, body, None)
+        assert f"limit of {limit}" in msg
+        assert err400(api.sweep_from_request, {"specs": [body]},
+                      None) == msg
+
+    def test_limits_are_inclusive(self):
+        config = {"num_procs": api.MAX_PROCS,
+                  "cache_size_bytes": 64 * (api.MAX_CACHE_LINES
+                                            // api.MAX_PROCS)}
+        point, _ = api.run_from_request(dict(RUN_BODY, config=config),
+                                        None)
+        assert point.spec.config.num_procs == api.MAX_PROCS
+
+    def test_figure_procs_over_the_limit(self):
+        msg = err400(api.sweep_from_request,
+                     {"figure": "fig9", "procs": api.MAX_PROCS + 1}, None)
+        assert f"limit of {api.MAX_PROCS}" in msg
+
+    def test_latency_figure_sizes_over_the_limit(self):
+        msg = err400(api.sweep_from_request,
+                     {"figure": "fig8", "sizes": [2, 10**6]}, None)
+        assert f"limit of {api.MAX_PROCS}" in msg
+
+    def test_offline_machines_stay_unbounded(self):
+        from repro.config import MachineConfig
+
+        config = MachineConfig(num_procs=10**6, cache_size_bytes=2**40)
+        assert config.num_procs * config.num_cache_lines \
+            > api.MAX_CACHE_LINES
