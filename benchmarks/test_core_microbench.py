@@ -121,15 +121,15 @@ def test_barrier_kernel(proto):
 
 @pytest.mark.parametrize("proto", [Protocol.WI, Protocol.PU, Protocol.CU])
 def test_steady_state_allocations(proto):
-    """The hot path is allocation-free in steady state.
+    """The hot path retains nothing in steady state.
 
-    After a warm-up run (caches filled, message pool populated,
-    directory entries built), net tracemalloc growth across the rest of
-    an MCS lock kernel must stay under a per-event byte budget from
-    ``core_floor.json``.  Without the message pool and bucket queue the
-    same kernel allocates ~27 bytes per event; with them it is < 1.
-    The budget (8 B/event) leaves headroom for counters and classifier
-    tables that legitimately grow with new blocks.
+    After a warm-up run (caches filled, directory entries built), net
+    tracemalloc growth across the rest of an MCS lock kernel must stay
+    under a per-event byte budget from ``core_floor.json``.  Each
+    message and event is freed once delivered, so the growth is < 1
+    byte per event (0.38-0.77 for WI/PU/CU; ~27 before the calendar
+    queue).  The budget (8 B/event) leaves headroom for counters and
+    classifier tables that legitimately grow with new blocks.
     """
     import tracemalloc
 
@@ -152,7 +152,7 @@ def test_steady_state_allocations(proto):
 
     machine.spawn_all(program)
     machine.prepare()
-    machine.sim.run(until=3000)          # warm-up: fills pool + caches
+    machine.sim.run(until=3000)          # warm-up: fills the caches
     e0 = machine.sim.events_processed
     tracemalloc.start()
     try:
@@ -169,5 +169,5 @@ def test_steady_state_allocations(proto):
     assert per_event <= budget, (
         f"steady-state allocations regressed: {per_event:.2f} B/event "
         f"net growth exceeds the {budget} B/event budget "
-        f"(pool or calendar queue no longer recycling?)")
+        f"(is something keeping messages or events past delivery?)")
     machine.finish()

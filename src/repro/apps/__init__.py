@@ -11,11 +11,9 @@ comparisons.
 from repro.apps.stencil import JacobiStencil, run_jacobi
 from repro.apps.histogram import Histogram, run_histogram
 from repro.apps.workqueue import WorkQueue, run_workqueue
-from repro.apps.spmv import SpMV, run_spmv
 
 __all__ = [
     "JacobiStencil", "run_jacobi",
     "Histogram", "run_histogram",
     "WorkQueue", "run_workqueue",
-    "SpMV", "run_spmv",
 ]

@@ -188,10 +188,6 @@ class MachineConfig:
     #: used by the property tests.
     network_jitter_cycles: int = 0
     network_jitter_seed: int = 0x5EED
-    #: message-pool debug mode: released messages have every payload
-    #: field poisoned so a use-after-release raises at first touch
-    #: (costs the recycling win; see repro.network.messages)
-    pool_debug: bool = False
 
     def __post_init__(self) -> None:
         if self.num_procs < 1:

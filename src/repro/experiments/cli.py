@@ -175,7 +175,6 @@ def main(argv: List[str] = None) -> int:
             finally:
                 profiler.disable()
                 _write_profile(profiler, args.profile, quiet=args.quiet)
-                _print_pool_stats()
             return rc
         return _run_figures(args, wanted, scale, runner, bench)
 
@@ -194,17 +193,6 @@ def _write_profile(profiler, prefix: str, quiet: bool = False) -> None:
     if not quiet:
         print(f"  [wrote {prefix}.pstats and {prefix}.txt]",
               file=sys.stderr)
-
-
-def _print_pool_stats() -> None:
-    """Report the process-wide message-pool tallies (``--profile``)."""
-    from repro.network.messages import POOL_TOTALS
-
-    print(f"  [message pool: {POOL_TOTALS['reused']} reused, "
-          f"{POOL_TOTALS['released']} released, "
-          f"{POOL_TOTALS['dropped_frozen']} dropped after freeze, "
-          f"over {POOL_TOTALS['machines']} machine(s)]",
-          file=sys.stderr)
 
 
 def _run_figures(args, wanted, scale, runner, bench) -> int:

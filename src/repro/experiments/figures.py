@@ -88,6 +88,13 @@ class FigureDef:
         return (UPDATE_PROTOCOLS if self.style == "update"
                 else ALL_PROTOCOLS)
 
+    def point_count(self, num_sizes: int) -> int:
+        """How many points :func:`figure_points` yields for
+        ``num_sizes`` machine sizes (only a latency figure sweeps
+        them), without building any."""
+        per_combo = num_sizes if self.style == "latency" else 1
+        return len(self.kinds) * len(self.protocols) * per_combo
+
 
 FIGURE_DEFS: Dict[str, FigureDef] = {d.fid: d for d in (
     FigureDef("fig8", "lock", LOCK_KINDS, "latency",

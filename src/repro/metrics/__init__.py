@@ -3,7 +3,6 @@
 from repro.metrics.tables import (
     format_table, format_series, format_stacked, Series, StackedBars,
 )
-from repro.metrics.phases import PhaseTracker, PhaseDelta
 from repro.metrics.analysis import (
     NodeUtilization, TrafficSummary, compare_runs, hottest_memories,
     markdown_report, node_utilization, render_traffic_matrix, summarize,
@@ -16,5 +15,4 @@ __all__ = [
     "NodeUtilization", "TrafficSummary", "compare_runs",
     "hottest_memories", "markdown_report", "node_utilization",
     "render_traffic_matrix", "summarize", "traffic_matrix",
-    "PhaseTracker", "PhaseDelta",
 ]

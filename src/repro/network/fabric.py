@@ -20,13 +20,11 @@ not traverse the network; they are delivered after a small fixed
 ``local_hop_cycles`` delay.
 
 Performance notes: :meth:`Network.post` runs once per message and the
-simulator creates millions of them, so the steady-state path is
-allocation-free and flat:
+simulator creates millions of them, so the path is flat:
 
-* messages come from a per-:class:`~repro.network.messages.MsgType`
-  free list (:class:`~repro.network.messages.MessagePool`) and are
-  recycled after their handler returns (see
-  :class:`~repro.protocols.base.NodeCtrl`);
+* each message is built once, by one positional
+  :class:`~repro.network.messages.Message` call, and never written
+  again (snapshots and the model checker share messages by reference);
 * everything derivable from the config alone -- per-type sizes and flit
   counts, the all-pairs hop table -- is precomputed at construction;
 * only three traffic counters are touched per message
@@ -38,8 +36,7 @@ allocation-free and flat:
 * under a plain :class:`~repro.engine.Simulator` the delivery event is
   appended straight into the simulator's calendar bucket, skipping the
   ``sim.at`` call (the model checker's :class:`ControlledSimulator`
-  keeps the public path -- and disables pooling, since its snapshots
-  share message objects across branches).
+  keeps the public path).
 """
 
 from __future__ import annotations
@@ -51,9 +48,7 @@ from typing import Callable, Dict, List, Optional
 from repro.config import MachineConfig
 from repro.engine import Simulator
 from repro.engine.simulator import _BIT, _MASK
-from repro.network.messages import (
-    MSG_TYPES, Message, MessagePool, MsgType,
-)
+from repro.network.messages import MSG_TYPES, Message, MsgType
 from repro.network.topology import MeshTopology
 
 
@@ -131,16 +126,9 @@ class Network:
         self._type_counts = [0] * len(MSG_TYPES)
         self._pair_counts = [0] * (P * P)
         self._n_contention = 0
-        # --- message pool / fast scheduling ----------------------------
-        #: pooled + calendar-inlined only under a plain Simulator: the
-        #: model checker snapshots share event tuples and message
-        #: objects between branches, so its messages must stay immutable
-        #: and its queue is the explicit heap behind the public API
+        #: calendar-inlined scheduling only under a plain Simulator: the
+        #: model checker's queue is the explicit heap behind the public API
         self._plain_sim = type(sim) is Simulator
-        self.pool = MessagePool(debug=getattr(config, "pool_debug", False))
-        self._pool_free = self.pool.free
-        #: post()'s one-test pooling gate; cleared by freeze_pool()
-        self._pool_on = self._plain_sim
 
     def register(self, node: int, handler: Callable[[Message], None],
                  dispatch: Optional[List[
@@ -161,17 +149,6 @@ class Network:
         self._dispatch[node] = dispatch
 
     # ------------------------------------------------------------------
-
-    @property
-    def pooling_active(self) -> bool:
-        """True when messages posted by this fabric are recycled."""
-        return self._pool_on and not self.pool.frozen
-
-    def freeze_pool(self) -> None:
-        """Permanently stop message recycling (machine snapshot taken:
-        snapshots share message objects by reference)."""
-        self.pool.freeze()
-        self._pool_on = False
 
     def size_of_type(self, mtype: MsgType) -> int:
         cfg = self.config
@@ -247,42 +224,16 @@ class Network:
              result=None, retain: bool = False,
              write_id: Optional[int] = None,
              mask: Optional[int] = None) -> None:
-        """Build (or recycle) a message and inject it.
+        """Build a message and inject it.
 
         The production send path: protocol controllers route every
         message through here.  Mirrors :meth:`send`'s latency model
-        exactly; the difference is the pooled acquire and the inlined
-        delivery scheduling.
+        exactly; the difference is the inlined delivery scheduling.
         """
         ti = mtype.index
-        free = self._pool_free[ti]
-        if free and self._pool_on:
-            msg = free.pop()
-            msg.in_pool = False
-            msg.keep = False
-            msg.mtype = mtype       # identity under non-debug (per-type
-            msg.src = src           # lists); un-poisons under debug
-            msg.dst = dst
-            msg.block = block
-            msg.requester = requester
-            msg.word = word
-            msg.value = value
-            msg.data = data
-            msg.nacks = nacks
-            msg.seq = seq
-            msg.op = op
-            msg.operand = operand
-            msg.result = result
-            msg.retain = retain
-            msg.write_id = write_id
-            msg.mask = mask
-            self.pool.reused += 1
-        else:
-            msg = Message(mtype, src, dst, block, requester=requester,
-                          word=word, value=value, data=data, nacks=nacks,
-                          seq=seq, op=op, operand=operand, result=result,
-                          retain=retain, write_id=write_id, mask=mask)
-            msg.size = self._size_table[ti]
+        msg = Message(mtype, src, dst, block, self._size_table[ti],
+                      requester, word, value, data, nacks, seq, op,
+                      operand, result, retain, write_id, mask)
 
         sim = self.sim
         now = sim.now
@@ -338,7 +289,7 @@ class Network:
     def send(self, msg: Message) -> None:
         """Inject a caller-built ``msg`` (tests / ad-hoc traffic); it is
         handed to the destination handler when fully delivered.  Same
-        latency model as :meth:`post`, without pooling."""
+        latency model as :meth:`post`."""
         sim = self.sim
         now = sim.now
         src = msg.src
@@ -387,13 +338,6 @@ class Network:
             raise RuntimeError(f"no handler registered for node {msg.dst}")
         handler(msg)
 
-    def release(self, msg: Message) -> None:
-        """Recycle a message whose lifetime has ended (delivery wrapper
-        / end of a pinned home transaction).  No-op when pooling is
-        inactive (model checker, frozen pool)."""
-        if self._plain_sim:
-            self.pool.release(msg)
-
     # ------------------------------------------------------------------
     # snapshot / restore
     # ------------------------------------------------------------------
@@ -416,7 +360,3 @@ class Network:
         self._type_counts[:] = type_counts
         self._pair_counts[:] = pair_counts
         self._n_contention = n_contention
-        # pooled free lists are not part of the snapshot: drop them so
-        # a restored run can never hand out a message object that some
-        # pre-snapshot event or transaction still references
-        self.pool.drain()

@@ -106,10 +106,10 @@ class Message:
     write_id : Optional[int]  id of the originating write (ack matching)
     """
 
-    __slots__ = ("mid", "mtype", "ti", "src", "dst", "block", "size",
+    __slots__ = ("mid", "mtype", "src", "dst", "block", "size",
                  "requester", "word", "value", "data", "nacks", "seq",
                  "op", "operand", "result", "retain", "write_id", "mask",
-                 "send_time", "keep", "in_pool")
+                 "send_time")
 
     def __init__(self, mtype: MsgType, src: int, dst: int, block: int,
                  size: int = 0, requester: int = -1,
@@ -121,9 +121,6 @@ class Message:
                  mask: Optional[int] = None) -> None:
         self.mid = next(_msg_ids)
         self.mtype = mtype
-        #: ``mtype.index`` cached flat (pool free lists and the fabric's
-        #: per-type tables index by it without the enum attribute chase)
-        self.ti = mtype.index
         self.src = src
         self.dst = dst
         self.block = block
@@ -141,11 +138,6 @@ class Message:
         self.write_id = write_id
         self.mask = mask
         self.send_time = -1
-        #: pin: the receiver keeps a reference past its handler (home
-        #: transactions); the delivery path must not recycle the message
-        self.keep = False
-        #: True while the message sits on a :class:`MessagePool` free list
-        self.in_pool = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = []
@@ -157,170 +149,3 @@ class Message:
             extra.append(f"op={self.op}")
         return (f"<{self.mtype.name} {self.src}->{self.dst} "
                 f"blk={self.block} {' '.join(extra)}>")
-
-
-class PoisonedField:
-    """Placeholder stored into every payload slot of a released message
-    when the pool runs in debug mode.  Any arithmetic, comparison,
-    indexing or truth-test on it raises immediately, turning a silent
-    use-after-release into a loud failure at the first touch."""
-
-    __slots__ = ("mid",)
-
-    def __init__(self, mid: int) -> None:
-        self.mid = mid
-
-    def _boom(self, *_a: Any, **_k: Any):
-        raise RuntimeError(
-            f"use-after-release: message mid={self.mid} was returned to "
-            f"the pool; this field is poisoned (pool debug mode)")
-
-    __bool__ = __int__ = __index__ = _boom
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _boom
-    __add__ = __radd__ = __sub__ = __rsub__ = _boom
-    __and__ = __rand__ = __or__ = __ror__ = _boom
-    __lshift__ = __rshift__ = __rlshift__ = __rrshift__ = _boom
-    __getitem__ = __contains__ = __iter__ = __hash__ = _boom
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<poisoned field of released mid={self.mid}>"
-
-    def __getattr__(self, name: str):
-        self._boom()
-
-
-#: fields a released message must drop (payload references) or that a
-#: reused message must re-arm (lifecycle flags)
-_RESET_FIELDS = ("requester", "word", "value", "data", "nacks", "seq",
-                 "op", "operand", "result", "retain", "write_id", "mask")
-
-
-class MessagePool:
-    """Free-list recycler for :class:`Message` objects.
-
-    One free list per :class:`MsgType` (indexed by ``MsgType.index``),
-    so an acquired message already carries the right ``mtype`` and the
-    fabric's per-type size/flit tables keep working unchanged.  The
-    steady-state message cycle -- acquire in
-    :meth:`~repro.network.fabric.Network.post`, deliver, release after
-    the handler returns -- then allocates nothing.
-
-    Lifecycle rules (enforced by :mod:`repro.network.fabric` and
-    :class:`~repro.protocols.base.NodeCtrl`):
-
-    * a handler that retains the message past its own return (home
-      transactions parked in ``_txn``) sets ``msg.keep``; the delivery
-      wrapper skips it and ``_end_txn`` releases it when the
-      transaction completes;
-    * :meth:`freeze` (called when a machine snapshot is taken) stops
-      recycling permanently: snapshots share message objects by
-      reference, so a message released after the snapshot must keep its
-      contents for a later restore;
-    * ``debug=True`` poisons every payload field of a released message
-      (see :class:`PoisonedField`) and checks double releases, at the
-      cost of the recycling win.
-    """
-
-    __slots__ = ("free", "debug", "frozen", "reused", "released",
-                 "dropped")
-
-    def __init__(self, debug: bool = False) -> None:
-        #: per-``MsgType.index`` free lists
-        self.free = [[] for _ in MSG_TYPES]
-        self.debug = debug
-        self.frozen = False
-        #: messages handed out from a free list (vs freshly built)
-        self.reused = 0
-        #: messages returned to a free list
-        self.released = 0
-        #: releases discarded because the pool was frozen
-        self.dropped = 0
-
-    # -- hot path ------------------------------------------------------
-
-    def acquire(self, mtype: MsgType) -> Optional[Message]:
-        """Pop a recycled message of ``mtype``, or None when the free
-        list is empty (the caller builds a fresh one).  The caller must
-        overwrite every routing/payload field; ``mtype`` itself is
-        already correct (per-type lists)."""
-        free = self.free[mtype.index]
-        if not free:
-            return None
-        msg = free.pop()
-        msg.in_pool = False
-        msg.keep = False
-        self.reused += 1
-        if self.debug:
-            msg.mtype = mtype        # un-poison
-        return msg
-
-    def release(self, msg: Message) -> None:
-        """Return ``msg`` to its free list (no-op once frozen)."""
-        if self.frozen:
-            self.dropped += 1
-            return
-        if msg.in_pool:
-            raise RuntimeError(f"double release of pooled message "
-                               f"mid={msg.mid}")
-        msg.in_pool = True
-        self.released += 1
-        if self.debug:
-            ti = msg.ti
-            poison = PoisonedField(msg.mid)
-            msg.mtype = poison
-            for f in _RESET_FIELDS:
-                setattr(msg, f, poison)
-            self.free[ti].append(msg)
-            return
-        # reset-on-release: drop the reference-holding payload fields so
-        # the free list never keeps data dicts (or closures hiding in
-        # operands) alive between uses.  Scalar fields keep their stale
-        # values -- acquire's contract is that the caller overwrites
-        # every routing/payload field.
-        msg.value = None
-        msg.data = None
-        msg.operand = None
-        msg.result = None
-        self.free[msg.ti].append(msg)
-
-    # -- lifecycle -----------------------------------------------------
-
-    def freeze(self) -> None:
-        """Permanently stop recycling (machine snapshot taken): further
-        releases are dropped and the free lists are cleared."""
-        self.frozen = True
-        for lst in self.free:
-            lst.clear()
-
-    def drain(self) -> None:
-        """Empty every free list (machine restore: the pool is rebuilt
-        from scratch by subsequent traffic)."""
-        for lst in self.free:
-            lst.clear()
-
-    def stats(self) -> dict:
-        """Counters + current free-list occupancy (``--profile``)."""
-        return {
-            "reused": self.reused,
-            "released": self.released,
-            "dropped_frozen": self.dropped,
-            "free": sum(len(lst) for lst in self.free),
-            "frozen": self.frozen,
-            "debug": self.debug,
-        }
-
-
-#: process-wide pool accounting, fed by ``Machine.finish`` after each
-#: simulation; surfaced by the experiments CLI under ``--profile``
-#: (like cProfile it only sees this process, not ``--jobs`` workers)
-POOL_TOTALS = {"machines": 0, "reused": 0, "released": 0,
-               "dropped_frozen": 0}
-
-
-def account_pool(stats: dict) -> None:
-    """Fold one :meth:`MessagePool.stats` snapshot into the
-    process-wide :data:`POOL_TOTALS`."""
-    POOL_TOTALS["machines"] += 1
-    POOL_TOTALS["reused"] += stats["reused"]
-    POOL_TOTALS["released"] += stats["released"]
-    POOL_TOTALS["dropped_frozen"] += stats["dropped_frozen"]

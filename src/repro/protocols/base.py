@@ -192,48 +192,8 @@ class NodeCtrl:
         # in-flight messages by the Network._deliver callback.
         direct = (not self.tracer.enabled
                   and not isinstance(self.sim, ControlledSimulator))
-        if direct and self.net.pooling_active:
-            # pooled delivery: recycle each message once its handler
-            # returns, unless the handler pinned it (``msg.keep``, set
-            # by _begin_txn for home transactions -- those are released
-            # by _end_txn instead).  The release is inlined rather than
-            # a MessagePool.release call: it runs once per delivered
-            # message, and the call overhead alone is measurable.
-            pool = self.net.pool
-
-            if pool.debug:
-                def wrap(handler, _r=pool.release):
-                    def deliver(msg, _h=handler, _r=_r):
-                        _h(msg)
-                        if not msg.keep:
-                            _r(msg)
-                    return deliver
-            else:
-                def wrap(handler, _pool=pool, _free=pool.free):
-                    def deliver(msg, _h=handler, _pool=_pool,
-                                _free=_free):
-                        _h(msg)
-                        if msg.keep or _pool.frozen:
-                            return
-                        if msg.in_pool:
-                            raise RuntimeError(
-                                f"double release of pooled message "
-                                f"mid={msg.mid}")
-                        msg.in_pool = True
-                        msg.value = None
-                        msg.data = None
-                        msg.operand = None
-                        msg.result = None
-                        _pool.released += 1
-                        _free[msg.ti].append(msg)
-                    return deliver
-
-            dispatch = [wrap(h) if h is not None else None
-                        for h in self._handlers]
-        else:
-            dispatch = self._handlers
         self.net.register(node, self.receive,
-                          dispatch if direct else None)
+                          self._handlers if direct else None)
 
     # ------------------------------------------------------------------
     # subclass wiring
@@ -288,7 +248,7 @@ class NodeCtrl:
               retain: bool = False, write_id: Optional[int] = None,
               mask: Optional[int] = None) -> None:
         # explicit parameters (no **kw dict) feeding the fabric's
-        # pooled fast path positionally
+        # fast path positionally
         self.net.post(mtype, self.node, dst, block, requester, word,
                       value, data, nacks, seq, op, operand, result,
                       retain, write_id, mask)
@@ -587,22 +547,14 @@ class NodeCtrl:
                    body: Callable[[Message], None]) -> None:
         """Acquire the block's directory entry, remember the transaction
         (for writeback-race re-dispatch) and run its body."""
-        # pin before acquire: a queued start keeps a reference to msg
-        # past the delivery wrapper's release point
-        msg.keep = True
-
         def start() -> None:
             self._txn[msg.block] = (body, msg)
             body(msg)
         self.directory.acquire(msg.block, start)
 
     def _end_txn(self, block: int) -> None:
-        txn = self._txn.pop(block, None)
+        self._txn.pop(block, None)
         self.directory.release(block)
-        if txn is not None:
-            # the transaction's request message was pinned by
-            # _begin_txn; its lifetime ends here (no-op off-pool)
-            self.net.release(txn[1])
 
     def _retry_txn(self, block: int) -> None:
         """Re-dispatch the in-flight transaction after a writeback race

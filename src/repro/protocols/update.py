@@ -388,8 +388,6 @@ class PUNodeCtrl(NodeCtrl):
         stalled transaction."""
         ent = self.directory.entry(msg.block)
         t = self.mem.reserve(self.mem.block_access_cycles())
-        # capture locals, not msg: the pooled message is recycled when
-        # this handler returns, before ``finish`` runs
         block = msg.block
         data = msg.data or {}
         src_bit = 1 << msg.src
@@ -412,7 +410,6 @@ class PUNodeCtrl(NodeCtrl):
             ent.owner = -1
         ent.sharer_mask &= ~(1 << msg.src)
         t = self.mem.reserve(self.mem.block_access_cycles())
-        # method + args (not a closure over the pooled msg)
         self.sim.at(t, self.mem.write_block, msg.block, msg.data or {})
 
     def _home_drop_notice(self, msg: Message) -> None:

@@ -314,8 +314,7 @@ class WINodeCtrl(NodeCtrl):
         for k, s in enumerate(invs):
             self.miss_cls.record_leave(s, block,
                                        EvictReason.INVALIDATION)
-            # method + args, no per-sharer closure (and no reference to
-            # the pooled msg outliving its delivery)
+            # method + args, no per-sharer closure
             sched(k * c, self._send_inv, s, block, req, seq)
         return self.sim.now + len(invs) * c
 
@@ -388,8 +387,6 @@ class WINodeCtrl(NodeCtrl):
         """Ex-dirty owner demoted to SHARED; completes a forwarded read."""
         ent = self.directory.entry(msg.block)
         t = self.mem.reserve(self.mem.block_access_cycles())
-        # capture locals, not msg: the pooled message is recycled when
-        # this handler returns, before ``finish`` runs
         block = msg.block
         data = msg.data or {}
         sharers = (1 << msg.src) | (1 << msg.requester)
@@ -435,5 +432,4 @@ class WINodeCtrl(NodeCtrl):
             # cache-to-cache and the DIRTY_TRANSFER is still in flight
             ent.early_wb_mask |= 1 << msg.src
         t = self.mem.reserve(self.mem.block_access_cycles())
-        # method + args (not a closure over the pooled msg)
         self.sim.at(t, self.mem.write_block, msg.block, msg.data or {})

@@ -30,7 +30,6 @@ from repro.classify import MissClassifier, UpdateClassifier
 from repro.config import MachineConfig
 from repro.engine import DeadlockError, NullTracer, Simulator, StuckThread
 from repro.network import Network, NetworkStats
-from repro.network.messages import account_pool
 from repro.runtime.memory_map import MemoryMap
 from repro.runtime.processor import Processor, ThreadProgram
 
@@ -234,7 +233,6 @@ class Machine:
 
         self.miss_classifier.finalize()
         self.update_classifier.finalize()
-        account_pool(self.net.pool.stats())
         return RunResult(
             total_cycles=self.sim.now,
             events=self.sim.events_processed,
@@ -280,12 +278,7 @@ class Machine:
         (write ids, message ids, event seq) are deliberately *not*
         rewound -- consumers that need canonical state (the model
         checker) rank-compress them.
-
-        Taking a snapshot permanently freezes the network's message
-        pool: recycling mutates messages in place, which would corrupt
-        the by-reference sharing above.
         """
-        self.net.freeze_pool()
         procs = []
         for p in self.processors:
             gen = p._gen

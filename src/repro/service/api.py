@@ -33,7 +33,8 @@ RUN_KEYS = frozenset({"workload", "config", "params", "code_version",
 SWEEP_KEYS = frozenset({"figure", "scale", "sizes", "procs", "sanitize",
                         "specs", "deadline_s", "full_records"})
 
-#: hard ceiling on specs per sweep request (far above any figure)
+#: hard ceiling on specs per sweep request, counted before any is
+#: built: a raw ``specs`` list, or the points a figure's ``sizes`` yield
 MAX_SWEEP_SPECS = 4096
 
 #: the largest machine a request may ask for: a worker builds per-pair
@@ -200,7 +201,9 @@ def sweep_from_request(data: Any, default_deadline: Optional[float]
     if not isinstance(fid, str) or not fid:
         raise _bad("sweep body must contain 'figure' or 'specs'")
     # imported here to keep service import time light and avoid cycles
-    from repro.experiments.figures import FIGURES, figure_points
+    from repro.experiments.figures import (
+        FIGURE_DEFS, FIGURES, figure_points,
+    )
 
     if fid not in FIGURES:
         raise _bad(f"unknown figure {fid!r}"
@@ -212,6 +215,10 @@ def sweep_from_request(data: Any, default_deadline: Optional[float]
                        and s >= 1 for s in sizes)):
         raise _bad("'sizes' must be a non-empty array of positive "
                    "integers")
+    count = FIGURE_DEFS[fid].point_count(len(sizes))
+    if count > MAX_SWEEP_SPECS:
+        raise _bad(f"sweep exceeds {MAX_SWEEP_SPECS} specs: {fid} over "
+                   f"{len(sizes)} sizes yields {count} points")
     procs = data.get("procs", 32)
     if not isinstance(procs, int) or isinstance(procs, bool) \
             or procs < 1:

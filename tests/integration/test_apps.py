@@ -92,25 +92,3 @@ class TestWorkQueue:
         # one memory-side fetch_and_add beats a full lock round trip
         assert (lockfree.result.total_cycles
                 < locked.result.total_cycles)
-
-
-class TestSpMV:
-    def test_norms_match_oracle(self, protocol):
-        from repro.apps import run_spmv
-        res = run_spmv(cfg(4, protocol), iters=3)
-        assert len(res.norms) == 3
-
-    @pytest.mark.parametrize("P", [2, 8])
-    def test_scales_and_verifies(self, protocol, P):
-        from repro.apps import run_spmv
-        res = run_spmv(cfg(P, protocol), iters=2, rows_per_proc=4)
-        assert res.cycles_per_iter > 0
-
-    def test_irregular_reads_share_widely(self):
-        from repro.apps import run_spmv
-        from repro.config import Protocol as Pr
-        res = run_spmv(cfg(8, Pr.WI), iters=3)
-        # the shared vector's blocks are read by many nodes: true
-        # sharing misses dominate after the cold start
-        m = res.result.misses
-        assert m["true"] > 0

@@ -154,6 +154,22 @@ class TestCLI:
         assert main(argv) == 0
         assert "Figure 16" in capsys.readouterr().out
 
+    def test_profile_flag_writes_reports(self, tmp_path, capsys):
+        import pstats
+
+        prefix = str(tmp_path / "prof")
+        argv = ["fig16", "--scale", "0.01", "--procs", "4",
+                "--jobs", "1", "--no-cache", "--quiet",
+                "--profile", prefix]
+        assert main(argv) == 0
+        assert "Figure 16" in capsys.readouterr().out
+        # the binary dump loads and saw the simulator's send path
+        stats = pstats.Stats(prefix + ".pstats")
+        assert any(name == "post" and path.endswith("fabric.py")
+                   for path, _line, name in stats.stats)
+        with open(prefix + ".txt", encoding="utf-8") as fh:
+            assert "Ordered by: cumulative time" in fh.read()
+
     def test_check_accepts_jobs(self, capsys):
         from repro.experiments.check import main as check_main
         assert check_main(["--procs", "2", "--jobs", "2",

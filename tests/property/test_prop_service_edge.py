@@ -37,6 +37,7 @@ from repro.campaign import RunRecord
 from repro.campaign.workloads import known_workloads
 from repro.cluster import Router, RouterConfig, ShardEndpoint
 from repro.config import MachineConfig
+from repro.experiments.figures import FIGURE_DEFS
 from repro.service import Gateway, ServiceConfig, SimScheduler, api
 
 MAX_BODY = 1 << 16
@@ -321,6 +322,10 @@ CONFIG_WRONG["cache_size_bytes"] = st.one_of(
     CONFIG_WRONG["cache_size_bytes"],
     st.integers(api.MAX_CACHE_LINES // 2 + 1, 1 << 34).map(
         lambda lines: 64 * lines))
+#: fig8 sizes whose points (9 per size) exceed the sweep limit
+_FIG8_COMBOS = FIGURE_DEFS["fig8"].point_count(1)
+_TOO_MANY_SIZES = st.integers(api.MAX_SWEEP_SPECS // _FIG8_COMBOS + 1,
+                              2000).map(lambda n: [2] * n)
 SWEEP_WRONG = {
     "figure": st.one_of(_NOT_STR, st.none(),
                         st.sampled_from(["", "fig99", "FIG9", "fig"])),
@@ -336,7 +341,8 @@ SWEEP_WRONG = {
                  min_size=1, max_size=3),
         st.builds(lambda ok, big: ok + [big],
                   st.lists(st.integers(1, 32), max_size=2),
-                  _TOO_MANY_PROCS)),
+                  _TOO_MANY_PROCS),
+        _TOO_MANY_SIZES),
     "procs": st.one_of(_TEXT, _LISTS, _DICTS, st.booleans(), st.none(),
                        _FLOATS, st.integers(max_value=0),
                        _TOO_MANY_PROCS),
@@ -430,6 +436,10 @@ def test_wrong_run_fields(edge, server, body):
 @example(server="gateway", body=dict(SWEEP_BODY, procs=10**6))
 @example(server="router", body=dict(SWEEP_BODY, figure="fig8",
                                     sizes=[2, 10**6]))
+@example(server="gateway", body=dict(SWEEP_BODY, figure="fig8",
+                                     sizes=[2] * 20_000))
+@example(server="router", body=dict(SWEEP_BODY, figure="fig8",
+                                    sizes=[2] * 456))
 def test_wrong_sweep_fields(edge, server, body):
     edge.check(server, post("/v1/sweep", json.dumps(body).encode()))
 

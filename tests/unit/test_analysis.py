@@ -100,52 +100,3 @@ class TestSummaries:
         fastest = "wi" if r1.total_cycles < r2.total_cycles else "pu"
         assert f"**{fastest}**" in md
         assert md.startswith("# ")
-
-
-class TestPhaseTracker:
-    def _run(self):
-        from repro.metrics.phases import PhaseTracker
-        from repro.sync import IdealBarrier
-        cfg = MachineConfig(num_procs=2, protocol=Protocol.PU)
-        m = Machine(cfg, max_events=500_000)
-        tracker = PhaseTracker(m)
-        bar = IdealBarrier(m)
-        a = m.memmap.alloc_word(1, "a")
-
-        def prog(node):
-            # phase 1: node 0 writes a lot; phase 2: mostly idle
-            if node == 0:
-                for i in range(6):
-                    yield Write(a, i)
-                yield Fence()
-            else:
-                yield Read(a)
-            yield from bar.wait(node)
-            if node == 0:
-                yield from tracker.mark("busy-phase")
-            yield from bar.wait(node)
-            yield Compute(100)
-            yield from bar.wait(node)
-            if node == 0:
-                yield from tracker.mark("idle-phase")
-
-        m.spawn_all(lambda n: prog(n))
-        m.run()
-        return tracker
-
-    def test_phase_labels_and_order(self):
-        tracker = self._run()
-        phases = tracker.phases()
-        assert [p.label for p in phases] == ["busy-phase", "idle-phase"]
-
-    def test_traffic_attributed_to_busy_phase(self):
-        tracker = self._run()
-        busy, idle = tracker.phases()
-        assert busy.messages > idle.messages
-        assert busy.misses["total"] >= idle.misses["total"]
-        assert busy.cycles > 0 and idle.cycles > 0
-
-    def test_render_table(self):
-        tracker = self._run()
-        text = tracker.render()
-        assert "busy-phase" in text and "idle-phase" in text

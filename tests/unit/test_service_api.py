@@ -144,6 +144,29 @@ class TestSweepRequests:
             None)
         assert str(api.MAX_SWEEP_SPECS) in msg
 
+    def test_figure_sweep_over_the_limit_is_refused_unbuilt(
+            self, monkeypatch):
+        from repro.experiments import figures
+
+        def never(*args, **kwargs):
+            raise AssertionError("figure_points ran")
+
+        monkeypatch.setattr(figures, "figure_points", never)
+        # 20,000 sizes of fig8 would expand to 180,000 points
+        msg = err400(api.sweep_from_request,
+                     {"figure": "fig8", "sizes": [2] * 20_000}, None)
+        assert str(api.MAX_SWEEP_SPECS) in msg and "180000" in msg
+        # 456 sizes x 9 combos = 4,104: just over
+        msg = err400(api.sweep_from_request,
+                     {"figure": "fig8", "sizes": [2] * 456}, None)
+        assert str(api.MAX_SWEEP_SPECS) in msg
+
+    def test_figure_sweep_at_the_limit_passes(self):
+        # 455 sizes x 9 combos = 4,095 points (all one machine size)
+        _, points, _ = api.sweep_from_request(
+            {"figure": "fig8", "scale": 0.01, "sizes": [2] * 455}, None)
+        assert len(points) == 455 * 9 <= api.MAX_SWEEP_SPECS
+
     def test_bad_scalars_rejected(self):
         err400(api.sweep_from_request,
                {"figure": "fig9", "scale": -1}, None)
