@@ -22,14 +22,19 @@ receive).
 
 Two reductions keep it tractable:
 
-* **visited-state dedup** -- at every free choice point the canonical
-  state key (see :mod:`repro.modelcheck.state`) is looked up in a
-  visited set; a hit abandons the run and suppresses branching at and
-  beyond the pruned position (the first visitor already explored every
-  continuation of that state).  The key at a branch's *first* free
-  choice point is the branch state itself, which the parent run
-  already recorded -- it is *not* consulted, only (re)inserted,
-  otherwise every branch would self-prune.
+* **visited-state dedup** -- at every free choice point (every one but
+  a branch run's forced pick) the canonical state key (see
+  :mod:`repro.modelcheck.state`) is looked up in a visited set; a hit
+  abandons the run there, a miss inserts the key.  This loses no state:
+  the run that inserts a key pushes a branch for every other candidate
+  and continues with candidate 0, so every successor of that state is
+  explored from its first visit, and any later run that reaches the key
+  -- a branch right after its forced pick included -- may stop.  A
+  branch takes its forced pick without computing a key, so its first
+  free choice point is always a successor of the branch state, never
+  the branch state itself.  The argument needs equal keys to have
+  equal successor keys, which is why the key renders every time
+  relative to the clock.
 * **symmetry reduction** -- the canonical key is minimized over the
   litmus program's declared node/word relabellings, merging
   mirror-image states.
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.engine import ControlledSimulator, DeadlockError, SimulationError
 from repro.modelcheck.invariants import (
@@ -61,9 +66,6 @@ from repro.modelcheck.state import Symmetry, canonical_key
 
 class _Pruned(Exception):
     """Internal: the run reached an already-visited state."""
-
-    def __init__(self, pos: int) -> None:
-        self.pos = pos
 
 
 class ScheduleDivergence(Exception):
@@ -108,88 +110,49 @@ def _build(litmus: LitmusProgram, config, max_events: int):
     return machine, built, histories, syms
 
 
-def _run(machine, built, histories, syms,
-         prefix: Tuple[int, ...],
-         visited: Optional[set],
-         stats: Dict[str, int],
-         on_event: Optional[Callable] = None,
-         on_choice: Optional[Callable] = None):
-    """Execute one schedule.  Returns (trace, violation, pruned_at,
-    events_processed)."""
+def _run(machine, built, start: bool,
+         on_event: Optional[Callable] = None) -> Optional[Violation]:
+    """Run the machine to the end of the current schedule (from cycle 0
+    when ``start``), checking between every two events and at the end;
+    returns the violation, or None for a clean or pruned run."""
     from repro.checkers import CheckerError
 
     sim: ControlledSimulator = machine.sim
-    trace: List[int] = []
-
-    def chooser(batch):
-        pos = len(trace)
-        trace.append(len(batch))
-        if pos < len(prefix):
-            choice = prefix[pos]
-            if not 0 <= choice < len(batch):
-                raise ScheduleDivergence(
-                    f"choice point {pos}: schedule says {choice} but "
-                    f"only {len(batch)} events are ready")
-        else:
-            choice = 0
-            if visited is not None:
-                key = canonical_key(
-                    machine, sim.pending_snapshot() + batch, syms, histories)
-                if key is None:
-                    stats["unhashed"] += 1
-                elif pos > len(prefix):
-                    if key in visited:
-                        stats["dedup_hits"] += 1
-                        raise _Pruned(pos)
-                    visited.add(key)
-                else:
-                    # the branch state itself: the parent run already
-                    # visited it -- record, never prune
-                    visited.add(key)
-        if on_choice is not None:
-            on_choice(pos, len(batch), choice)
-        return choice
-
-    sim.chooser = chooser
-    violation: Optional[Violation] = None
-    pruned_at: Optional[int] = None
     try:
-        machine.prepare()
+        if start:
+            machine.prepare()
         while sim.step(on_event):
             report = machine.checker_report
             if report is not None and report.violations:
                 v = report.violations[0]
-                violation = Violation(f"checker:{v.rule}", str(v))
-                break
+                return Violation(f"checker:{v.rule}", str(v))
             check_state_invariants(machine)
-        if violation is None:
-            machine.finish()
-            if not machine.quiesced():
-                violation = Violation(
-                    "quiescence",
-                    "event queue drained with in-flight work "
-                    "(buffered writes, uncollected acks, or open "
-                    "transactions) still outstanding")
-            else:
-                machine.check_coherence_invariants()
-                built.final_check(machine)
-    except _Pruned as exc:
-        pruned_at = exc.pos
+        machine.finish()
+        if not machine.quiesced():
+            return Violation(
+                "quiescence",
+                "event queue drained with in-flight work "
+                "(buffered writes, uncollected acks, or open "
+                "transactions) still outstanding")
+        machine.check_coherence_invariants()
+        built.final_check(machine)
+    except _Pruned:
+        pass
     except DeadlockError as exc:
-        violation = Violation("deadlock", str(exc))
+        return Violation("deadlock", str(exc))
     except CheckerError as exc:
         rule = (exc.report.violations[0].rule
                 if exc.report.violations else "unknown")
-        violation = Violation(f"checker:{rule}", str(exc))
+        return Violation(f"checker:{rule}", str(exc))
     except InvariantViolation as exc:
-        violation = Violation(f"invariant:{exc.rule}", exc.detail)
+        return Violation(f"invariant:{exc.rule}", exc.detail)
     except AssertionError as exc:
-        violation = Violation("assertion", str(exc))
+        return Violation("assertion", str(exc))
     except SimulationError as exc:
-        violation = Violation("livelock", str(exc))
+        return Violation("livelock", str(exc))
     except RuntimeError as exc:
-        violation = Violation("protocol-error", str(exc))
-    return trace, violation, pruned_at, sim.events_processed
+        return Violation("protocol-error", str(exc))
+    return None
 
 
 def run_schedule(litmus: LitmusProgram, config,
@@ -198,12 +161,23 @@ def run_schedule(litmus: LitmusProgram, config,
                  on_choice: Optional[Callable] = None):
     """Run one explicit schedule (no dedup).  Returns (machine,
     violation)."""
-    machine, built, histories, syms = _build(litmus, config, max_events)
-    _trace, violation, _pruned, _ev = _run(
-        machine, built, histories, syms, tuple(choices), None,
-        {"dedup_hits": 0, "unhashed": 0},
-        on_event=on_event, on_choice=on_choice)
-    return machine, violation
+    machine, built, _histories, _syms = _build(litmus, config, max_events)
+    sim: ControlledSimulator = machine.sim
+    prefix = tuple(choices)
+
+    def chooser(batch):
+        pos = len(sim.choice_log)
+        choice = prefix[pos] if pos < len(prefix) else 0
+        if not 0 <= choice < len(batch):
+            raise ScheduleDivergence(
+                f"choice point {pos}: schedule says {choice} but "
+                f"only {len(batch)} events are ready")
+        if on_choice is not None:
+            on_choice(pos, len(batch), choice)
+        return choice
+
+    sim.chooser = chooser
+    return machine, _run(machine, built, True, on_event)
 
 
 def _minimize(litmus: LitmusProgram, config,
@@ -255,7 +229,6 @@ def explore(litmus: LitmusProgram,
     ``complete`` is False when the ``max_schedules`` budget ran out
     first.
     """
-    from repro.checkers import CheckerError
     from repro.modelcheck.mutations import get_mutation
 
     if config is None:
@@ -266,20 +239,20 @@ def explore(litmus: LitmusProgram,
                if mutation else nullcontext())
 
     visited: Optional[set] = set() if dedup else None
-    stats = {"dedup_hits": 0, "unhashed": 0}
+    dedup_hits = unhashed = 0
     schedules = 0
     events_total = 0
     choice_points = 0
     complete = True
 
-    def result(violation, choices):
+    def result(violation, found):
         return ExploreResult(
             program=litmus.name, protocol=config.protocol.value,
             mutation=mutation, schedules=schedules,
             states=len(visited) if visited is not None else 0,
             choice_points=choice_points, events=events_total,
-            dedup_hits=stats["dedup_hits"], unhashed=stats["unhashed"],
-            violation=violation, choices=choices, complete=complete)
+            dedup_hits=dedup_hits, unhashed=unhashed,
+            violation=violation, choices=found, complete=complete)
 
     with mut_ctx:
         machine, built, histories, syms = _build(litmus, config,
@@ -292,120 +265,62 @@ def explore(litmus: LitmusProgram,
         # the queue, shared by every sibling; `picks` is the choice
         # sequence up to and including the forced sibling index.
         branches: List[Tuple[tuple, Tuple[int, ...]]] = []
-        # chooser state for the run in progress (reset per run):
-        # choices made so far, the pending forced pick (branch runs
-        # only), and whether the next free choice point is the branch
-        # state itself (insert-only, see module docstring)
-        run = {"choices": [], "forced": None, "fresh": True,
-               "npoints": 0}
+        # the run in progress: its choices so far, its pending forced
+        # pick (branch runs only) and its choice-point count
+        choices: List[int] = []
+        forced: Optional[int] = None
+        npoints = 0
 
         def chooser(batch):
+            nonlocal forced, npoints, dedup_hits, unhashed
             # counted at entry so a run pruned *at* this position still
             # counts it toward the choice-point depth
-            run["npoints"] += 1
-            choices: List[int] = run["choices"]
-            forced = run["forced"]
+            npoints += 1
             if forced is not None:
-                run["forced"] = None
-                choices.append(forced)
-                return forced
+                pick, forced = forced, None
+                choices.append(pick)
+                return pick
             if visited is not None:
                 key = canonical_key(
                     machine, sim.pending_snapshot() + batch, syms, histories)
                 if key is None:
-                    stats["unhashed"] += 1
-                elif run["fresh"]:
-                    visited.add(key)
+                    unhashed += 1
+                elif key in visited:
+                    dedup_hits += 1
+                    raise _Pruned
                 else:
-                    if key in visited:
-                        stats["dedup_hits"] += 1
-                        raise _Pruned(len(choices))
                     visited.add(key)
-            run["fresh"] = False
-            if len(batch) > 1:
-                rec = (machine.snapshot(), tuple(batch))
-                base = tuple(choices)
-                for j in range(1, len(batch)):
-                    branches.append((rec, base + (j,)))
+            rec = (machine.snapshot(), tuple(batch))
+            base = tuple(choices)
+            for j in range(1, len(batch)):
+                branches.append((rec, base + (j,)))
             choices.append(0)
             return 0
 
         sim.chooser = chooser
-
-        def run_one(branch):
-            """Execute one schedule; returns (violation, events run)."""
-            if branch is None:  # the root schedule, from cycle 0
-                run["choices"] = []
-                run["forced"] = None
-                run["fresh"] = True
-                run["npoints"] = 0
-            else:
-                (snap, batch), picks = branch
-                machine.restore(snap)
-                sim.push_events(batch)
-                run["choices"] = list(picks[:-1])
-                run["forced"] = picks[-1]
-                run["fresh"] = True
-                run["npoints"] = len(picks) - 1
-            start = sim.events_processed
-            violation: Optional[Violation] = None
-            try:
-                if branch is None:
-                    machine.prepare()
-                while sim.step():
-                    report = machine.checker_report
-                    if report is not None and report.violations:
-                        v = report.violations[0]
-                        violation = Violation(f"checker:{v.rule}",
-                                              str(v))
-                        break
-                    check_state_invariants(machine)
-                if violation is None:
-                    machine.finish()
-                    if not machine.quiesced():
-                        violation = Violation(
-                            "quiescence",
-                            "event queue drained with in-flight work "
-                            "(buffered writes, uncollected acks, or "
-                            "open transactions) still outstanding")
-                    else:
-                        machine.check_coherence_invariants()
-                        built.final_check(machine)
-            except _Pruned:
-                pass
-            except DeadlockError as exc:
-                violation = Violation("deadlock", str(exc))
-            except CheckerError as exc:
-                rule = (exc.report.violations[0].rule
-                        if exc.report.violations else "unknown")
-                violation = Violation(f"checker:{rule}", str(exc))
-            except InvariantViolation as exc:
-                violation = Violation(f"invariant:{exc.rule}",
-                                      exc.detail)
-            except AssertionError as exc:
-                violation = Violation("assertion", str(exc))
-            except SimulationError as exc:
-                violation = Violation("livelock", str(exc))
-            except RuntimeError as exc:
-                violation = Violation("protocol-error", str(exc))
-            return violation, sim.events_processed - start
-
         branch = None  # sentinel: first iteration runs the root
         while True:
             if schedules >= max_schedules:
                 complete = False
                 break
-            violation, events = run_one(branch)
+            if branch is not None:
+                (snap, batch), picks = branch
+                machine.restore(snap)
+                sim.push_events(batch)
+                choices, forced = list(picks[:-1]), picks[-1]
+                npoints = len(picks) - 1
+            start = sim.events_processed
+            violation = _run(machine, built, branch is None)
             schedules += 1
-            events_total += events
-            choice_points = max(choice_points, run["npoints"])
+            events_total += sim.events_processed - start
+            choice_points = max(choice_points, npoints)
             if violation is not None:
                 complete = False
-                choices = tuple(run["choices"])
+                found = tuple(choices)
                 if minimize:
-                    choices = _minimize(litmus, config, choices,
-                                        violation.kind, max_events)
-                return result(violation, choices)
+                    found = _minimize(litmus, config, found,
+                                      violation.kind, max_events)
+                return result(violation, found)
             if not branches:
                 break
             branch = branches.pop()

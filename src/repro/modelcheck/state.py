@@ -23,7 +23,11 @@ not raw value.
 Sequence numbers (directory/install seqs, write ids, event seqs) only
 matter through their relative order: the emitter collects them per
 domain as it goes, and each renders as its rank within its domain.
-Event-queue times render as deltas from the choice-point time.
+Every absolute time renders as a delta from the choice-point time (the
+earliest pending event): event-queue times, busy-until times, and the
+integers a pending closure holds under a time-valued name (``t``,
+``issue_done``).  Two copies of one state a uniform number of cycles
+apart thus get one key, as their successors do.
 
 Rendering substitutes every marker through a table and sorts each
 unordered container's rendered elements.  The canonical key is the
@@ -75,17 +79,21 @@ _DATA_NAMES = frozenset({"value", "v", "val", "merged", "old", "new",
                          "nacks", "opname", "mask", "retain", "state",
                          "reason", "label"})
 
-#: variable name -> marker kind of an integer it carries, or None for
-#: data; an integer under any other name (or none) is ambiguous
+_AMBIGUOUS = -1
+_TIME = -2
+
+#: variable name -> marker kind of an integer it carries, None for
+#: data, or _TIME for an absolute time (the cycle a pending closure was
+#: scheduled for or compares against); an integer under any other name
+#: (or none) is ambiguous
 _INT_KIND: Dict[str, Optional[int]] = {
     **dict.fromkeys(_DATA_NAMES),
+    **dict.fromkeys(("t", "issue_done"), _TIME),
     **dict.fromkeys(("s", "src", "dst", "node", "writer", "requester",
                      "owner", "home", "parent"), _N),
     **dict.fromkeys(("seq", "inv_seq"), _QD),
     "block": _B, "blk": _B, "word": _W, "addr": _A, "write_id": _QW,
 }
-
-_AMBIGUOUS = -1
 
 _EVENT_ORDER = itemgetter(0, 1)
 
@@ -246,16 +254,18 @@ def _role(obj: Any) -> Optional[tuple]:
 class _Emitter:
     """One encoding pass: appends fragments and collects the sequence
     numbers of each domain; ``ambiguous`` records an ambiguous
-    integer, which no symmetry may map.  Every method appends one value
+    integer, which no symmetry may map, and ``base`` is the time every
+    absolute time renders relative to.  Every method appends one value
     followed by a comma, so records need no other separators."""
 
-    __slots__ = ("qd", "qw", "qe", "ambiguous")
+    __slots__ = ("qd", "qw", "qe", "ambiguous", "base")
 
     def __init__(self) -> None:
         self.qd: set = set()
         self.qw: set = set()
         self.qe: set = set()
         self.ambiguous = False
+        self.base = 0
 
     # -- leaves ---------------------------------------------------------
 
@@ -333,6 +343,9 @@ class _Emitter:
             kind = _INT_KIND.get(name, _AMBIGUOUS)
             if kind is None or (kind == _N and value < 0):
                 out.append(f"{value!r},")
+                return
+            if kind == _TIME:
+                out.append(f"dt{value - self.base},")
                 return
             if kind == _AMBIGUOUS:
                 self.ambiguous = True
@@ -501,7 +514,7 @@ class _Emitter:
         self.cbs(out, p._done_callbacks)
         out.append("),")
 
-    def ctrl(self, out: list, c, base: int) -> None:
+    def ctrl(self, out: list, c) -> None:
         cache = c.cache
         lines = []
         for s in range(cache.num_sets):
@@ -532,7 +545,7 @@ class _Emitter:
         self.cbs(out, c.wb._space_waiters)
         self.cbs(out, c.wb._empty_waiters)
         self.worddict(out, c.mem._words)
-        out.append(f"{max(0, c.mem._busy_until - base)},")
+        out.append(f"{max(0, c.mem._busy_until - self.base)},")
         entries = []
         for ent in c.directory._entries.values():
             e = []
@@ -559,13 +572,13 @@ class _Emitter:
         net = machine.net
         if net._jitter_rng is not None:
             raise Unencodable("network jitter (RNG state not encoded)")
-        base = min((e[0] for e in pending_events),
-                   default=machine.sim.now)
+        base = self.base = min((e[0] for e in pending_events),
+                               default=machine.sim.now)
         out: list = ["MACHINE("]
         ctrls = []
         for c in machine.controllers:
             e: list = []
-            self.ctrl(e, c, base)
+            self.ctrl(e, c)
             ctrls.append(e)
         _unordered(out, ctrls)
         procs = []

@@ -58,6 +58,7 @@ must catch each one with a counterexample path, which is what
 
 from __future__ import annotations
 
+import gc
 import inspect
 import re
 from collections import deque
@@ -850,7 +851,20 @@ class SpecGraphExplorer:
     def run(self) -> None:
         """Number each new state in BFS order and expand it once.  The
         exact frozen tuple is the dedup key; it is interned to its id
-        here, and each world is dropped once it has been expanded."""
+        here, and each world is dropped once it has been expanded.
+
+        The cyclic collector is paused meanwhile: the interned states,
+        successor lists and parents live until the run returns, and the
+        collector's hundreds of passes over them per run free nothing."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._explore()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _explore(self) -> None:
         start = self._initial()
         start_frozen = start.freeze()
         ids: Dict[tuple, int] = {start_frozen: 0}

@@ -6,6 +6,7 @@ cross-validation live in ``tests/integration/test_graph_modelcheck.py``."""
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from repro.staticcheck import (
     DEFAULT_SUPPRESSIONS, SPEC_MUTATIONS, apply_spec_mutation,
     check_spec_graph, explore_spec, load_suppressions,
 )
+from repro.staticcheck.graph import SpecGraphExplorer
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +166,27 @@ def test_mutations_target_existing_rows():
         spec = get_spec(mut.protocol)
         assert apply_spec_mutation(spec, name).dumps() != spec.dumps()
         assert mut.expect
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_and_restores_it(enabled):
+    """The collector is off while the graph is explored and back in its
+    entry state afterwards, also when the exploration raises."""
+    ex = SpecGraphExplorer(get_spec("wi"))
+    during = []
+
+    def explore():
+        during.append(gc.isenabled())
+        raise RuntimeError("stop")
+
+    ex._explore = explore
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError):
+            ex.run()
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+    assert after is enabled

@@ -3,6 +3,8 @@ sensitivity, and node/word symmetry merging."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.config import Protocol
 from repro.modelcheck import canonical_key, get_program
 from repro.modelcheck.explorer import _build
@@ -85,3 +87,46 @@ def test_without_symmetry_mirror_states_stay_distinct():
         keys.append(canonical_key(machine, machine.sim.pending_snapshot(),
                                   (), histories))
     assert keys[0] != keys[1]
+
+
+class _Stop(Exception):
+    pass
+
+
+def _key_after(name: str, protocol: Protocol, prefix: tuple):
+    """``(now, key)`` at the first choice point past a forced-choice
+    prefix, the key taken with symmetries off."""
+    machine, built, histories, syms = _machine(name, protocol)
+    sim = machine.sim
+    found = []
+
+    def chooser(batch):
+        pos = len(sim.choice_log)
+        if pos < len(prefix):
+            return prefix[pos]
+        found.append((sim.now, canonical_key(
+            machine, sim.pending_snapshot() + batch, (), histories)))
+        raise _Stop
+
+    sim.chooser = chooser
+    machine.prepare()
+    with pytest.raises(_Stop):
+        while sim.step():
+            pass
+    return found[0]
+
+
+def test_time_shifted_copies_share_a_key():
+    """barrier/wi reaches one state at two clock values one cycle
+    apart: everything timed -- the clock, the event queue, the memory's
+    busy-until time and the pending ``_rdex_txn`` finish closure's
+    ``t`` and ``issue_done`` -- is shifted by one.  Every time renders
+    relative to the clock, so the two copies get one key."""
+    now_a, key_a = _key_after("barrier", Protocol.WI,
+                              (0, 0, 0, 0, 0, 0, 0, 2, 0))
+    now_b, key_b = _key_after("barrier", Protocol.WI,
+                              (0, 0, 1, 0, 0, 1, 2, 0))
+    assert now_b == now_a + 1
+    assert "_rdex_txn.<locals>.finish" in key_a
+    assert "'issue_done':" in key_a and "'t':" in key_a
+    assert key_a == key_b
