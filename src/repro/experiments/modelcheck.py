@@ -87,17 +87,18 @@ def modelcheck_specs() -> List[Tuple[str, RunSpec]]:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    protocols = [proto.value for proto in MODEL_CHECK_PROTOCOLS]
     p = argparse.ArgumentParser(
         prog="repro-experiments modelcheck",
         description="Exhaustively explore litmus-program interleavings "
-                    "under WI/PU/CU/HYBRID with per-state invariant "
-                    "checking.")
+                    f"under {'/'.join(protocols).upper()} with "
+                    "per-state invariant checking.")
     p.add_argument("--program", action="append", metavar="NAME",
                    help="litmus program(s) to explore (default: all); "
                         f"choose from {', '.join(PROGRAMS)}")
     p.add_argument("--protocol", action="append", metavar="PROTO",
-                   help="protocol(s) to explore (default: wi,pu,cu,"
-                        "hybrid)")
+                   help="protocol(s) to explore (default: "
+                        f"{','.join(protocols)})")
     p.add_argument("--mutants", action="store_true",
                    help="validate the checker against the seeded "
                         "protocol mutations instead of sweeping")

@@ -6,15 +6,12 @@ Runs, without a single simulated cycle:
   ambiguity / progress / vocabulary / routing) over the declarative
   transition tables of :mod:`repro.protospec`, and
 * the AST conformance pass diffing each protocol controller's handlers
-  against its table, and
-* the dispatch round-trip check diffing the compiled execution table
-  (what the simulator actually dispatches through) against the spec
-  row-for-row,
+  against its table,
 
-for any subset of WI / PU / CU / HYBRID.  Findings can be suppressed
-via a JSON manifest (every suppression needs a written reason; stale
-entries are themselves findings).  Exit status is 0 iff no unsuppressed
-finding remains.
+for any subset of WI / PU / CU / HYBRID / MESI.  Findings can be
+suppressed via a JSON manifest (every suppression needs a written
+reason; stale entries are themselves findings).  Exit status is 0 iff
+no unsuppressed finding remains.
 
 ``--mutants`` validates the conformance pass the same way
 ``modelcheck --mutants`` validates the explorer: each seeded protocol
@@ -37,8 +34,7 @@ from repro.protocols import _CTRL_CLASSES
 from repro.protospec import get_spec
 from repro.staticcheck import (
     DEFAULT_SUPPRESSIONS, StaticCheckReport, SuppressionError,
-    analyze_spec, check_conformance, check_dispatch_tables,
-    load_suppressions,
+    analyze_spec, check_conformance, load_suppressions,
 )
 
 #: analysis order (and the --protocol default)
@@ -52,8 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Statically check the protocol transition tables "
                     "and their conformance with the handler source.")
     p.add_argument("--protocol", action="append", metavar="PROTO",
-                   help="protocol(s) to check (default: wi,pu,cu,"
-                        "hybrid)")
+                   help="protocol(s) to check (default: "
+                        f"{','.join(pr.value for pr in ALL_PROTOCOLS)})")
     p.add_argument("--suppressions", metavar="FILE",
                    default=DEFAULT_SUPPRESSIONS,
                    help="suppression manifest (default: the packaged "
@@ -111,15 +107,12 @@ def _parse_protocols(names: Optional[List[str]],
 
 
 def run_staticcheck(protocols: List[Protocol]) -> StaticCheckReport:
-    """Analyzer + conformance + compiled-dispatch round-trip over the
-    given protocols, unsuppressed."""
+    """Analyzer + conformance over the given protocols, unsuppressed."""
     report = StaticCheckReport()
     for proto in protocols:
         spec = get_spec(proto)
-        cls = _CTRL_CLASSES[proto]
         report.extend(analyze_spec(spec))
-        report.extend(check_conformance(spec, cls))
-        report.extend(check_dispatch_tables(spec, cls, proto))
+        report.extend(check_conformance(spec, _CTRL_CLASSES[proto]))
     return report
 
 
@@ -227,18 +220,19 @@ def _mutants(args, protocols: List[Protocol]) -> int:
 
 def _synth(args, protocols: List[Protocol]) -> int:
     """Report what each protocol's table derives from a stable-state
-    spec (only MESI is synthesized today)."""
-    from repro.protospec import mesi_stable
+    spec (WI and MESI are synthesized; PU, CU and HYBRID are not)."""
+    from repro.protospec import mesi_stable, wi_stable
 
+    stable_specs = {Protocol.WI: wi_stable, Protocol.MESI: mesi_stable}
     for proto in protocols:
         spec = get_spec(proto)
         rows = len(spec.cache.rows) + len(spec.home.rows)
-        if proto is not Protocol.MESI:
+        if proto not in stable_specs:
             print(f"{proto.value}: hand-written table -- "
                   f"{len(spec.cache.states)} cache states, "
                   f"{len(spec.home.states)} home states, {rows} rows")
             continue
-        stable = mesi_stable()
+        stable = stable_specs[proto]()
         authored = set(stable.cache.stable) | set(stable.home.stable)
         cache_t = [s for s in spec.cache.states
                    if s not in stable.cache.stable]

@@ -100,7 +100,7 @@ class Network:
         self._handlers: List[Optional[Callable[[Message], None]]] = (
             [None] * P)
         # optional per-node dispatch tables (MsgType.index -> bound
-        # handler); when present, send() schedules the delivery straight
+        # handler); when present, post() schedules the delivery straight
         # into the protocol handler instead of routing through _deliver
         self._dispatch: List[Optional[List[
             Optional[Callable[[Message], None]]]]] = [None] * P
@@ -224,12 +224,8 @@ class Network:
              result=None, retain: bool = False,
              write_id: Optional[int] = None,
              mask: Optional[int] = None) -> None:
-        """Build a message and inject it.
-
-        The production send path: protocol controllers route every
-        message through here.  Mirrors :meth:`send`'s latency model
-        exactly; the difference is the inlined delivery scheduling.
-        """
+        """Build a message and inject it: the one send path, which
+        protocol controllers and :meth:`send` both take."""
         ti = mtype.index
         msg = Message(mtype, src, dst, block, self._size_table[ti],
                       requester, word, value, data, nacks, seq, op,
@@ -287,50 +283,13 @@ class Network:
             sim.at(deliver, target, msg)
 
     def send(self, msg: Message) -> None:
-        """Inject a caller-built ``msg`` (tests / ad-hoc traffic); it is
-        handed to the destination handler when fully delivered.  Same
-        latency model as :meth:`post`."""
-        sim = self.sim
-        now = sim.now
-        src = msg.src
-        dst = msg.dst
-        ti = msg.mtype.index
-        size = self._size_table[ti]
-        flits = self._flits_table[ti]
-        msg.size = size
-        msg.send_time = now
-
-        depart = self._src_free[src]
-        if depart < now:
-            depart = now
-        self._src_free[src] = depart + flits
-
-        if src == dst:
-            deliver = depart + flits + self._local_hop
-            queued = depart - now
-        else:
-            head_arrival = (depart + flits
-                            + self._switch_delay * self._hops[src][dst])
-            if self._jitter_rng is not None:
-                head_arrival += self._jitter_rng.randint(
-                    0, self._jitter_cycles)
-            dst_free = self._dst_free[dst]
-            deliver = (dst_free if dst_free > head_arrival
-                       else head_arrival) + flits
-            self._dst_free[dst] = deliver
-            queued = depart - now + (dst_free - head_arrival
-                                     if head_arrival < dst_free else 0)
-
-        self._type_counts[ti] += 1
-        self._pair_counts[src * self._num_nodes + dst] += 1
-        self._n_contention += queued
-        dtable = self._dispatch[dst]
-        if dtable is not None:
-            target = dtable[ti]
-            if target is not None:
-                sim.at(deliver, target, msg)
-                return
-        sim.at(deliver, self._deliver, msg)
+        """Inject a caller-built ``msg`` (tests / ad-hoc traffic): the
+        fabric posts its payload fields, so the destination handler
+        receives a copy built by :meth:`post`."""
+        self.post(msg.mtype, msg.src, msg.dst, msg.block, msg.requester,
+                  msg.word, msg.value, msg.data, msg.nacks, msg.seq,
+                  msg.op, msg.operand, msg.result, msg.retain,
+                  msg.write_id, msg.mask)
 
     def _deliver(self, msg: Message) -> None:
         handler = self._handlers[msg.dst]

@@ -9,7 +9,6 @@ than a payload dict) because the simulator creates millions of them.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional
 
 
@@ -81,8 +80,6 @@ for _i, _mt in enumerate(MSG_TYPES):
     _mt.index = _i
 del _i, _mt
 
-_msg_ids = itertools.count()
-
 
 class Message:
     """A single network message.
@@ -106,10 +103,9 @@ class Message:
     write_id : Optional[int]  id of the originating write (ack matching)
     """
 
-    __slots__ = ("mid", "mtype", "src", "dst", "block", "size",
-                 "requester", "word", "value", "data", "nacks", "seq",
-                 "op", "operand", "result", "retain", "write_id", "mask",
-                 "send_time")
+    __slots__ = ("mtype", "src", "dst", "block", "size", "requester",
+                 "word", "value", "data", "nacks", "seq", "op", "operand",
+                 "result", "retain", "write_id", "mask")
 
     def __init__(self, mtype: MsgType, src: int, dst: int, block: int,
                  size: int = 0, requester: int = -1,
@@ -119,7 +115,6 @@ class Message:
                  result: Any = None, retain: bool = False,
                  write_id: Optional[int] = None,
                  mask: Optional[int] = None) -> None:
-        self.mid = next(_msg_ids)
         self.mtype = mtype
         self.src = src
         self.dst = dst
@@ -137,7 +132,6 @@ class Message:
         self.retain = retain
         self.write_id = write_id
         self.mask = mask
-        self.send_time = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = []

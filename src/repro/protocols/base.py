@@ -50,31 +50,18 @@ class PendingFill:
 
 
 class HandlerTableError(RuntimeError):
-    """A controller's HANDLERS table cannot serve every message its
-    protocol spec routes to a node -- raised at construction, not as a
-    dispatch error mid-simulation."""
+    """A controller's HANDLERS table does not fit its protocol spec (a
+    routed message without a handler, a handler for a message the spec
+    never routes, or an entry naming a method the class lacks) --
+    raised at construction, not as a dispatch error mid-simulation."""
 
 
-#: (controller class, protocol) pairs already validated this process
-_VALIDATED_HANDLER_TABLES: set = set()
-
-
-def _validate_handler_table(cls, protocol) -> None:
+def _validate_handler_table(cls, spec) -> None:
     """Fail fast: every MsgType the protocol's declarative spec lists
-    as receivable must have a HANDLERS entry on this class, and the
-    class must not claim to handle messages the spec never routes to a
-    node (the spec is the single source of truth for dispatch)."""
-    key = (cls, protocol)
-    if key in _VALIDATED_HANDLER_TABLES:
-        return
-    try:
-        from repro.protospec import get_spec
-        spec = get_spec(protocol)
-    except KeyError:
-        # no spec for this protocol (custom/experimental controller):
-        # nothing to validate against
-        _VALIDATED_HANDLER_TABLES.add(key)
-        return
+    as receivable must have a HANDLERS entry on this class, the class
+    must not claim to handle messages the spec never routes to a node
+    (the spec is the single source of truth for dispatch), and every
+    entry must name a method the class defines."""
     receivable = spec.receivable()
     missing = sorted(m.name for m in receivable
                      if m not in cls.HANDLERS)
@@ -98,11 +85,17 @@ def _validate_handler_table(cls, protocol) -> None:
             f"{'them' if len(extra) > 1 else 'it'} to a node; either "
             f"the spec table is missing receive rows or the handler "
             f"entry is dead")
-    _VALIDATED_HANDLER_TABLES.add(key)
+    unbound = sorted(f"{m.name} -> {name}"
+                     for m, name in cls.HANDLERS.items()
+                     if not callable(getattr(cls, name, None)))
+    if unbound:
+        raise HandlerTableError(
+            f"{cls.__name__}'s HANDLERS names methods the class does "
+            f"not define: {', '.join(unbound)}")
 
 
 #: (controller class, protocol) -> dense handler-name tuple indexed by
-#: ``MsgType.index``, compiled once per process
+#: ``MsgType.index``, validated and compiled once per process
 _DISPATCH_TABLES: Dict[tuple, Tuple[Optional[str], ...]] = {}
 
 
@@ -111,25 +104,19 @@ def compile_dispatch(cls, protocol) -> Tuple[Optional[str], ...]:
     declarative spec: exactly the message types
     :meth:`~repro.protospec.model.ProtocolSpec.receivable` lists get a
     handler-name slot (``MsgType.index``-indexed); everything else is
-    ``None`` and fails loudly at :meth:`NodeCtrl.receive`.
-
-    Falls back to the class's own HANDLERS keys when the protocol has
-    no spec (custom/experimental controllers).
-    """
+    ``None`` and fails loudly at :meth:`NodeCtrl.receive`.  The first
+    call for a (class, protocol) pair validates the class's HANDLERS
+    against the spec (:class:`HandlerTableError`)."""
     key = (cls, protocol)
     table = _DISPATCH_TABLES.get(key)
-    if table is not None:
-        return table
-    _validate_handler_table(cls, protocol)
-    try:
+    if table is None:
         from repro.protospec import get_spec
-        routed = get_spec(protocol).receivable()
-    except KeyError:
-        routed = cls.HANDLERS.keys()
-    names: List[Optional[str]] = [None] * len(MSG_TYPES)
-    for mtype in routed:
-        names[mtype.index] = cls.HANDLERS[mtype]
-    table = _DISPATCH_TABLES[key] = tuple(names)
+        spec = get_spec(protocol)
+        _validate_handler_table(cls, spec)
+        names: List[Optional[str]] = [None] * len(MSG_TYPES)
+        for mtype in spec.receivable():
+            names[mtype.index] = cls.HANDLERS[mtype]
+        table = _DISPATCH_TABLES[key] = tuple(names)
     return table
 
 

@@ -2,12 +2,15 @@
 
 ``get_spec("wi" | "pu" | "cu" | "hybrid" | "mesi")`` (or a
 :class:`repro.config.Protocol` member) returns the validated
-:class:`ProtocolSpec` for that protocol.  WI/PU/CU/HYBRID are
-hand-written transcriptions of the imperative controllers in
-:mod:`repro.protocols`; MESI is authored as a *stable-state* spec
-(:mod:`repro.protospec.mesi`) whose transient states are generated by
-:mod:`repro.protospec.synth`.  :mod:`repro.staticcheck` keeps specs
-and controllers from drifting apart.
+:class:`ProtocolSpec` for that protocol.  The write-invalidate family
+is authored once, at the *stable-state* level: WI in
+:mod:`repro.protospec.wi`, MESI as its clean-exclusive deltas in
+:mod:`repro.protospec.mesi`, and :mod:`repro.protospec.synth`
+generates both tables' transient states.  PU and CU are hand-written
+transcriptions of the update controllers in :mod:`repro.protocols`
+(:mod:`repro.protospec.tables`), and HYBRID merges the WI and CU
+tables.  :mod:`repro.staticcheck` keeps specs and controllers from
+drifting apart.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from repro.protospec.model import (
 )
 from repro.protospec.mesi import mesi_spec, mesi_stable
 from repro.protospec.synth import StableSpec, synthesize
-from repro.protospec.tables import cu_spec, hybrid_spec, pu_spec, wi_spec
+from repro.protospec.tables import cu_spec, hybrid_spec, pu_spec
+from repro.protospec.wi import wi_spec, wi_stable
 
 #: protocol value -> spec builder (the order matches Protocol)
 SPEC_BUILDERS = {
@@ -54,5 +58,5 @@ __all__ = [
     "SpecError", "TransitionRow", "SPEC_BUILDERS", "StableSpec",
     "get_spec", "synthesize",
     "wi_spec", "pu_spec", "cu_spec", "hybrid_spec", "mesi_spec",
-    "mesi_stable",
+    "mesi_stable", "wi_stable",
 ]

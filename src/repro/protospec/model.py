@@ -249,7 +249,7 @@ class SideSpec:
 class ProtocolSpec:
     """A whole protocol: cache side + home side + metadata."""
 
-    protocol: str                   # Protocol.value: wi|pu|cu|hybrid
+    protocol: str                   # a Protocol member's value
     description: str
     cache: SideSpec
     home: SideSpec

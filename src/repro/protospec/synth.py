@@ -1,7 +1,7 @@
 """Transient-state synthesis: a full :class:`ProtocolSpec` from a
 stable-state description.
 
-The hand-written tables in :mod:`repro.protospec.tables` spell out
+A hand-written table (:mod:`repro.protospec.tables`) spells out
 every transient state and every race row by hand -- roughly three
 quarters of each table is bookkeeping for messages that cross each
 other in flight.  This module implements what the protocol-synthesis
@@ -38,9 +38,11 @@ only the *stable-state* protocol --
 The output is an ordinary validated :class:`ProtocolSpec`:
 ``compile_dispatch`` executes it unchanged, every static pass applies,
 and the spec-graph explorer (:mod:`repro.staticcheck.graph`) can walk
-it.  :mod:`repro.protospec.mesi` is the demonstration: MESI is authored
-here as ~40 stable-state declarations and synthesized into a table the
-same shape as the hand-written WI one.
+it.  The write-invalidate family is written this way:
+:mod:`repro.protospec.wi` authors WI as ~40 stable-state declarations
+whose synthesized table has exactly the transition relation of the
+hand-written WI table it replaced, and :mod:`repro.protospec.mesi`
+adds MESI's clean-exclusive deltas to it.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ from repro.protospec.model import (
 )
 
 #: fairness justification attached to every synthesized NACK/retry row
-#: (same argument as the hand-written tables): the ex-owner's WRITEBACK
-#: precedes its NACK on the same channel, so per-channel FIFO delivery
-#: guarantees the retried transaction is served from current memory.
+#: (the hand-written update tables give the same argument): the
+#: ex-owner's WRITEBACK precedes its NACK on the same channel, so
+#: per-channel FIFO delivery guarantees the retried transaction is
+#: served from current memory.
 FIFO_FAIRNESS = ("FIFO delivery: the ex-owner's WRITEBACK precedes its "
                  "NACK on the same channel, so the retried transaction "
                  "is served from current memory and cannot NACK again")

@@ -1,27 +1,27 @@
-"""Hand-written transition tables for the four paper protocols.
+"""Hand-written transition tables for the update protocols and the
+hybrid.
 
 Each builder returns a validated :class:`ProtocolSpec` transcribed from
 the imperative controllers:
 
-* :func:`wi_spec` -- DASH-style write invalidate
-  (:class:`repro.protocols.wi.WINodeCtrl`);
 * :func:`pu_spec` -- pure update
   (:class:`repro.protocols.update.PUNodeCtrl`);
 * :func:`cu_spec` -- competitive update: PU with threshold
   self-invalidation rows on UPD_PROP
   (:class:`repro.protocols.update.CUNodeCtrl`);
 * :func:`hybrid_spec` -- the per-block WI/CU hybrid, built by
-  *merging* the WI and CU tables: colliding ``(state, event)`` pairs
-  get mutually exclusive "WI-managed block" / "update-managed block"
-  guards, and cross-protocol pairs (a WI-only state meeting an
-  update-only message, or vice versa) are auto-declared impossible.
+  *merging* the synthesized WI table (:mod:`repro.protospec.wi`) and
+  the CU table: colliding ``(state, event)`` pairs get mutually
+  exclusive "WI-managed block" / "update-managed block" guards, and
+  cross-protocol pairs (a WI-only state meeting an update-only
+  message, or vice versa) are auto-declared impossible.
 
-State naming follows the textbook transient convention: ``IS_D`` is
-"was Invalid, going to Shared, waiting for Data"; ``SM_W`` is "was
-Shared, going to Modified, waiting for the upgrade grant (W)"; ``_A``
-marks a pending atomic.  Directory-side transients (``BUSY_R``,
-``BUSY_X``, ``D_R``) model the per-block transaction the home holds
-open while a forward or recall is in flight.
+State naming follows the textbook transient convention: ``IV_D`` is
+"was Invalid, going to Valid, waiting for Data"; ``VW_A`` is "Valid, a
+write-through waiting for its Ack"; an ``A`` prefix (``AI_W``,
+``AV_W``, ``AR_W``) marks an atomic waiting at the home.  The
+directory-side transient ``D_R`` models the per-block transaction the
+home holds open while a recall is in flight.
 
 Every ``(state, message-event)`` pair is either given a row or an
 :class:`Impossible` entry -- the :func:`_side` helper enforces this at
@@ -31,12 +31,14 @@ construction time, so a forgotten pair is a build error here and a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.protospec.model import (
     ANY_STATE, LOCAL_PREFIX, Impossible, ProtocolSpec, SideSpec,
     SpecError, TransitionRow,
 )
+from repro.protospec.synth import FIFO_FAIRNESS
+from repro.protospec.wi import wi_spec
 
 # ----------------------------------------------------------------------
 # construction helpers
@@ -87,362 +89,6 @@ def _side(name: str, initial: str, states: Sequence[str],
     return SideSpec(name=name, initial=initial, states=tuple(states),
                     stable=tuple(stable), events=tuple(events),
                     rows=rows, impossible=tuple(impossible))
-
-
-#: shared fairness justification for NACK/retry races: the ex-owner
-#: sends its WRITEBACK before it can see (and NACK) the forward, and
-#: per-channel FIFO delivery keeps that order at the home
-_FIFO_WB = ("FIFO delivery: the ex-owner's WRITEBACK precedes its NACK "
-            "on the same channel, so the retried transaction is served "
-            "from current memory and cannot NACK again")
-
-#: fairness justification for NACKing a forward while our own
-#: ownership data is in flight: that data WILL install (it is already
-#: past the home's serialization point), after which we serve forwards
-_XFER = ("the exclusive data that made this node the recorded owner is "
-         "already in flight; once it installs, the retried forward is "
-         "served from the new MODIFIED copy")
-
-_OWNER_ONLY = ("the home forwards this message only to the node it "
-               "records as the dirty owner; this state was never "
-               "recorded as owner while the transaction was open")
-
-
-# ----------------------------------------------------------------------
-# write invalidate
-# ----------------------------------------------------------------------
-
-def wi_spec() -> ProtocolSpec:
-    """DASH-style write invalidate (``repro/protocols/wi.py``)."""
-
-    # ---- cache side --------------------------------------------------
-    wb_race = _row  # alias for readability below
-    cache_rows: List[TransitionRow] = [
-        # processor stimuli
-        _row("I", "local:read", "send:READ_REQ", "IS_D"),
-        _row("S", "local:read", "", "S", note="cache hit"),
-        _row("M", "local:read", "", "M", note="cache hit"),
-        _row("I", "local:store", "send:RDEX_REQ", "IM_D"),
-        _row("S", "local:store", "send:UPGRADE_REQ", "SM_W",
-             note="the paper's 'exclusive request' transaction"),
-        _row("M", "local:store", "apply_store retire_done", "M"),
-        _row("I", "local:atomic", "send:RDEX_REQ", "IM_AD"),
-        _row("S", "local:atomic", "send:UPGRADE_REQ", "SM_AW"),
-        _row("M", "local:atomic", "atomic_op cache_write", "M",
-             note="atomics execute in the cache on an exclusive copy"),
-        _row("S", "local:evict", "", "I",
-             note="SHARED evictions are silent; DASH keeps "
-                  "possibly-stale full-map sharer bits"),
-        _row("M", "local:evict", "send:WRITEBACK", "I"),
-        # data replies
-        _row("IS_D", "READ_REPLY", "fill", "S"),
-        _row("IS_D", "OWNER_DATA", "fill", "S",
-             note="forwarded read served by the ex-dirty owner"),
-        _row("IM_D", "RDEX_REPLY",
-             "install apply_store retire_done evict", "M",
-             note="install may displace a victim line (evict)"),
-        _row("IM_AD", "RDEX_REPLY", "install finish_atomic evict", "M"),
-        _row("IM_D", "OWNER_DATA_EX",
-             "install apply_store retire_done evict", "M"),
-        _row("IM_AD", "OWNER_DATA_EX", "install finish_atomic evict",
-             "M"),
-        # a racing writer can take ownership while our upgrade is in
-        # flight; the home then demotes the upgrade to a full exclusive
-        # transaction whose data comes from the new owner's cache
-        # (OWNER_DATA_EX) or, if that owner wrote back first, from
-        # memory (RDEX_REPLY).  The owner's data travels on a different
-        # channel than the home's INV, so it can overtake the INV and
-        # find our copy still resident (SM_W/SM_AW) -- the handler
-        # installs over it either way.
-        _row("SM_W", "OWNER_DATA_EX",
-             "install apply_store retire_done evict", "M",
-             guard="upgrade demoted: an earlier writer took ownership "
-                   "and served our write from its cache"),
-        _row("SM_AW", "OWNER_DATA_EX", "install finish_atomic evict",
-             "M",
-             guard="upgrade demoted: an earlier writer took ownership "
-                   "and served our atomic from its cache"),
-        _row("I_W", "OWNER_DATA_EX",
-             "install apply_store retire_done evict", "M",
-             guard="upgrade demoted after our copy was lost"),
-        _row("I_AW", "OWNER_DATA_EX", "install finish_atomic evict",
-             "M",
-             guard="upgrade demoted after our copy was lost"),
-        _row("I_W", "RDEX_REPLY",
-             "install apply_store retire_done evict", "M",
-             guard="upgrade demoted after our copy was lost; the "
-                   "interim owner already wrote back, so memory "
-                   "serves the data"),
-        _row("I_AW", "RDEX_REPLY", "install finish_atomic evict", "M",
-             guard="upgrade demoted after our copy was lost; the "
-                   "interim owner already wrote back, so memory "
-                   "serves the data"),
-        # upgrade grants
-        _row("SM_W", "UPGRADE_REPLY",
-             "cache:=MODIFIED apply_store retire_done", "M"),
-        _row("SM_AW", "UPGRADE_REPLY", "cache:=MODIFIED finish_atomic",
-             "M"),
-        _row("I_W", "UPGRADE_REPLY", "send:RDEX_REQ", "IM_D",
-             guard="line conflict-evicted while the upgrade was in "
-                   "flight",
-             note="the home granted ownership; refetch the data with a "
-                  "fresh RDEX"),
-        _row("I_AW", "UPGRADE_REPLY", "send:RDEX_REQ", "IM_AD",
-             guard="line conflict-evicted while the upgrade was in "
-                   "flight"),
-        # invalidations
-        _row("S", "INV", "invalidate send:INV_ACK", "I"),
-        _row("SM_W", "INV", "invalidate send:INV_ACK", "I_W",
-             note="an earlier writer won the race; our upgrade will be "
-                  "answered after its transaction completes"),
-        _row("SM_AW", "INV", "invalidate send:INV_ACK", "I_AW"),
-        _row("I", "INV", "send:INV_ACK", "I",
-             note="stale invalidation for a copy already dropped; "
-                  "acked harmlessly (full-map bits may be stale)"),
-        _row("IS_D", "INV", "send:INV_ACK", "IS_D",
-             note="a racing invalidation is remembered against the "
-                  "pending fill's sequence number"),
-        _row("IM_D", "INV", "send:INV_ACK", "IM_D"),
-        _row("IM_AD", "INV", "send:INV_ACK", "IM_AD"),
-        _row("I_W", "INV", "send:INV_ACK", "I_W"),
-        _row("I_AW", "INV", "send:INV_ACK", "I_AW"),
-        # ack collection is node-level (release consistency: the writer
-        # only waits at fence points), independent of the block state
-        _row(ANY_STATE, "INV_ACK", "ack"),
-        # forwards from the home
-        _row("M", "FETCH_FWD",
-             "cache:=SHARED send:OWNER_DATA send:SHARING_WB", "S"),
-        wb_race("I", "FETCH_FWD", "send:FWD_NACK", "I",
-                guard="ownership given up; our WRITEBACK is in flight",
-                retry=True, fairness=_FIFO_WB),
-        wb_race("IS_D", "FETCH_FWD", "send:FWD_NACK", "IS_D",
-                guard="ownership given up; our WRITEBACK is in flight",
-                retry=True, fairness=_FIFO_WB),
-        wb_race("IM_D", "FETCH_FWD", "send:FWD_NACK", "IM_D",
-                guard="ownership given up; our WRITEBACK is in flight",
-                retry=True, fairness=_FIFO_WB),
-        wb_race("IM_AD", "FETCH_FWD", "send:FWD_NACK", "IM_AD",
-                guard="ownership given up; our WRITEBACK is in flight",
-                retry=True, fairness=_FIFO_WB),
-        _row("M", "FETCH_INV_FWD",
-             "invalidate send:OWNER_DATA_EX send:DIRTY_TRANSFER", "I",
-             note="ownership transfers cache-to-cache; DIRTY_TRANSFER "
-                  "tells the home"),
-        wb_race("I", "FETCH_INV_FWD", "send:FWD_NACK", "I",
-                guard="ownership given up; our WRITEBACK is in flight",
-                retry=True, fairness=_FIFO_WB),
-        wb_race("IS_D", "FETCH_INV_FWD", "send:FWD_NACK", "IS_D",
-                guard="ownership given up; our WRITEBACK is in flight",
-                retry=True, fairness=_FIFO_WB),
-        wb_race("IM_D", "FETCH_INV_FWD", "send:FWD_NACK", "IM_D",
-                guard="ownership given up; our WRITEBACK is in flight",
-                retry=True, fairness=_FIFO_WB),
-        wb_race("IM_AD", "FETCH_INV_FWD", "send:FWD_NACK", "IM_AD",
-                guard="ownership given up; our WRITEBACK is in flight",
-                retry=True, fairness=_FIFO_WB),
-        # The home can record this node as the new dirty owner (via a
-        # DIRTY_TRANSFER, or by granting a demoted upgrade) while the
-        # exclusive data is still in flight to us, then forward a later
-        # request here.  We are not MODIFIED yet, so we NACK; the retry
-        # is served once our data installs.
-        wb_race("SM_W", "FETCH_FWD", "send:FWD_NACK", "SM_W",
-                guard="recorded as owner, but our exclusive data is "
-                      "still in flight", retry=True, fairness=_XFER),
-        wb_race("SM_AW", "FETCH_FWD", "send:FWD_NACK", "SM_AW",
-                guard="recorded as owner, but our exclusive data is "
-                      "still in flight", retry=True, fairness=_XFER),
-        wb_race("I_W", "FETCH_FWD", "send:FWD_NACK", "I_W",
-                guard="recorded as owner, but our exclusive data is "
-                      "still in flight", retry=True, fairness=_XFER),
-        wb_race("I_AW", "FETCH_FWD", "send:FWD_NACK", "I_AW",
-                guard="recorded as owner, but our exclusive data is "
-                      "still in flight", retry=True, fairness=_XFER),
-        wb_race("SM_W", "FETCH_INV_FWD", "send:FWD_NACK", "SM_W",
-                guard="recorded as owner, but our exclusive data is "
-                      "still in flight", retry=True, fairness=_XFER),
-        wb_race("SM_AW", "FETCH_INV_FWD", "send:FWD_NACK", "SM_AW",
-                guard="recorded as owner, but our exclusive data is "
-                      "still in flight", retry=True, fairness=_XFER),
-        wb_race("I_W", "FETCH_INV_FWD", "send:FWD_NACK", "I_W",
-                guard="recorded as owner, but our exclusive data is "
-                      "still in flight", retry=True, fairness=_XFER),
-        wb_race("I_AW", "FETCH_INV_FWD", "send:FWD_NACK", "I_AW",
-                guard="recorded as owner, but our exclusive data is "
-                      "still in flight", retry=True, fairness=_XFER),
-    ]
-    cache_impossible = [
-        Impossible("M", "INV",
-                   "the directory never invalidates the dirty owner; "
-                   "ownership moves via FETCH_INV_FWD"),
-    ]
-    cache_defaults = {
-        "READ_REPLY": "a shared-data reply only answers this node's "
-                      "outstanding READ_REQ (state IS_D)",
-        "OWNER_DATA": "forwarded shared data only answers this node's "
-                      "outstanding READ_REQ (state IS_D)",
-        "RDEX_REPLY": "an exclusive-data reply only answers this "
-                      "node's outstanding RDEX_REQ (IM_D / IM_AD)",
-        "OWNER_DATA_EX": "transferred ownership data only answers this "
-                         "node's outstanding RDEX_REQ (IM_D / IM_AD)",
-        "UPGRADE_REPLY": "an upgrade grant only answers this node's "
-                         "outstanding UPGRADE_REQ (SM_W / SM_AW, or "
-                         "I_W / I_AW after a conflict eviction)",
-        "FETCH_FWD": _OWNER_ONLY,
-        "FETCH_INV_FWD": _OWNER_ONLY,
-    }
-    cache = _side(
-        "cache", "I",
-        states=("I", "S", "M", "IS_D", "IM_D", "IM_AD", "SM_W",
-                "SM_AW", "I_W", "I_AW"),
-        stable=("I", "S", "M"),
-        events=("local:read", "local:store", "local:atomic",
-                "local:evict", "READ_REPLY", "OWNER_DATA", "RDEX_REPLY",
-                "OWNER_DATA_EX", "UPGRADE_REPLY", "INV", "INV_ACK",
-                "FETCH_FWD", "FETCH_INV_FWD"),
-        rows=cache_rows, impossible=cache_impossible,
-        defaults=cache_defaults)
-
-    # ---- home (directory) side ---------------------------------------
-    home_rows: List[TransitionRow] = [
-        # reads
-        _row("U", "READ_REQ",
-             "begin_txn send:READ_REPLY dir:=SHARED end_txn", "S"),
-        _row("S", "READ_REQ", "begin_txn send:READ_REPLY end_txn", "S"),
-        _row("D", "READ_REQ", "begin_txn send:FETCH_FWD", "BUSY_R",
-             note="the transaction stays open until SHARING_WB (or a "
-                  "FWD_NACK retry)"),
-        _row("BUSY_R", "READ_REQ", "begin_txn", "BUSY_R",
-             note="queued on the busy directory entry"),
-        _row("BUSY_X", "READ_REQ", "begin_txn", "BUSY_X",
-             note="queued on the busy directory entry"),
-        # write misses
-        _row("U", "RDEX_REQ",
-             "begin_txn send:RDEX_REPLY dir:=DIRTY end_txn", "D"),
-        _row("S", "RDEX_REQ",
-             "begin_txn send:INV send:RDEX_REPLY dir:=DIRTY end_txn",
-             "D", note="invalidation acks go straight to the requester "
-                       "(release consistency)"),
-        _row("D", "RDEX_REQ", "begin_txn send:FETCH_INV_FWD", "BUSY_X",
-             note="the transaction stays open until DIRTY_TRANSFER (or "
-                  "a FWD_NACK retry)"),
-        _row("BUSY_R", "RDEX_REQ", "begin_txn", "BUSY_R",
-             note="queued on the busy directory entry"),
-        _row("BUSY_X", "RDEX_REQ", "begin_txn", "BUSY_X",
-             note="queued on the busy directory entry"),
-        # upgrades
-        _row("S", "UPGRADE_REQ",
-             "begin_txn send:INV send:UPGRADE_REPLY dir:=DIRTY end_txn",
-             "D", guard="requester still on the sharer list",
-             when="requester_is_sharer"),
-        _row("S", "UPGRADE_REQ",
-             "begin_txn send:INV send:RDEX_REPLY dir:=DIRTY end_txn",
-             "D", guard="requester was invalidated while its upgrade "
-                        "was in flight",
-             when="requester_not_sharer",
-             note="demoted to a full exclusive-data transaction"),
-        _row("U", "UPGRADE_REQ",
-             "begin_txn send:RDEX_REPLY dir:=DIRTY end_txn", "D",
-             guard="every copy (including the requester's) is gone",
-             note="demoted to a full exclusive-data transaction"),
-        _row("D", "UPGRADE_REQ", "begin_txn send:FETCH_INV_FWD",
-             "BUSY_X",
-             guard="an earlier writer took ownership first",
-             note="demoted to a full exclusive-data transaction"),
-        _row("BUSY_R", "UPGRADE_REQ", "begin_txn", "BUSY_R",
-             note="queued on the busy directory entry"),
-        _row("BUSY_X", "UPGRADE_REQ", "begin_txn", "BUSY_X",
-             note="queued on the busy directory entry"),
-        # transaction completions from the ex-owner
-        _row("BUSY_R", "SHARING_WB", "mem_write dir:=SHARED end_txn",
-             "S", note="ex-owner demoted itself to SHARED; both it and "
-                       "the requester are sharers now"),
-        _row("BUSY_X", "DIRTY_TRANSFER", "dir:=DIRTY end_txn", "D",
-             guard="the new owner still holds its copy",
-             when="requester_not_wrote_back",
-             note="ownership moved cache-to-cache"),
-        _row("BUSY_X", "DIRTY_TRANSFER", "dir:=UNOWNED end_txn", "U",
-             guard="the new owner already evicted and wrote back",
-             when="requester_wrote_back",
-             note="the early WRITEBACK made memory current; recording "
-                  "the requester as owner now would strand the block "
-                  "(every forward to it would NACK and retry forever)"),
-        # evictions
-        _row("D", "WRITEBACK", "mem_write dir:=UNOWNED", "U"),
-        _row("BUSY_R", "WRITEBACK", "mem_write dir:=UNOWNED", "BUSY_R",
-             note="processed immediately (never queued): the in-flight "
-                  "forward will be NACKed and its retry must observe "
-                  "the clean entry"),
-        _row("BUSY_X", "WRITEBACK", "mem_write dir:=UNOWNED", "BUSY_X",
-             guard="the recorded owner gave up ownership",
-             when="from_owner",
-             note="processed immediately (never queued): the in-flight "
-                  "forward will be NACKed and its retry must observe "
-                  "the clean entry"),
-        _row("BUSY_X", "WRITEBACK", "mem_write note_early_wb", "BUSY_X",
-             guard="the in-flight transaction's requester wrote back "
-                   "before its DIRTY_TRANSFER arrived",
-             when="not_from_owner",
-             note="the directory does not record this node as owner "
-                  "yet; remember the writeback so the transfer "
-                  "resolves to UNOWNED"),
-        # forward races
-        _row("BUSY_R", "FWD_NACK", "retry_txn", "U", retry=True,
-             fairness=_FIFO_WB,
-             note="the retried request then re-runs against the clean "
-                  "entry"),
-        _row("BUSY_X", "FWD_NACK", "retry_txn", "U", retry=True,
-             fairness=_FIFO_WB,
-             note="the retried request then re-runs against the clean "
-                  "entry"),
-    ]
-    home_defaults = {
-        "SHARING_WB": "a sharing writeback only completes the "
-                      "FETCH_FWD of the transaction in flight",
-        "DIRTY_TRANSFER": "a dirty transfer only completes the "
-                          "FETCH_INV_FWD of the transaction in flight",
-        "WRITEBACK": "only the recorded dirty owner writes back, and "
-                     "the entry is DIRTY (or mid-transaction) until "
-                     "its writeback arrives",
-        "FWD_NACK": "a forward NACK only answers a forward issued by "
-                    "the open transaction",
-    }
-    home = _side(
-        "home", "U",
-        states=("U", "S", "D", "BUSY_R", "BUSY_X"),
-        stable=("U", "S", "D"),
-        events=("READ_REQ", "RDEX_REQ", "UPGRADE_REQ", "SHARING_WB",
-                "DIRTY_TRANSFER", "WRITEBACK", "FWD_NACK"),
-        rows=home_rows, defaults=home_defaults)
-
-    spec = ProtocolSpec(
-        protocol="wi",
-        description="DASH-style write invalidate under release "
-                    "consistency (paper section 2)",
-        cache=cache, home=home,
-        unused_messages=(
-            ("REPL_HINT", "replacement hints are defined but never "
-                          "sent: SHARED evictions are silent"),
-            ("UPDATE", "update-family message; WI never updates"),
-            ("UPD_PROP", "update-family message; WI never updates"),
-            ("UPD_ACK", "update-family message; WI never updates"),
-            ("WRITER_ACK", "update-family message; WI write completion "
-                           "is RDEX_REPLY/UPGRADE_REPLY"),
-            ("RECALL", "update-family message; WI recalls ownership "
-                       "via FETCH_FWD/FETCH_INV_FWD"),
-            ("RECALL_REPLY", "update-family message; WI uses "
-                             "SHARING_WB/DIRTY_TRANSFER"),
-            ("ATOMIC_REQ", "WI atomics execute in the cache on an "
-                           "exclusive copy, not at the home"),
-            ("ATOMIC_REPLY", "WI atomics execute in the cache on an "
-                             "exclusive copy, not at the home"),
-            ("DROP_NOTICE", "update-family message; WI SHARED "
-                            "evictions are silent"),
-            ("EXCL_REPLY", "MESI-family message; WI has no clean-"
-                           "exclusive state and grants exclusivity "
-                           "via RDEX_REPLY/UPGRADE_REPLY"),
-        ))
-    spec.validate()
-    return spec
 
 
 # ----------------------------------------------------------------------
@@ -525,16 +171,16 @@ def pu_spec(competitive: bool = False) -> ProtocolSpec:
                   "first"),
         _row("I", "RECALL", "send:FWD_NACK", "I",
              guard="already evicted; our WRITEBACK is in flight",
-             retry=True, fairness=_FIFO_WB),
+             retry=True, fairness=FIFO_FAIRNESS),
         _row("IV_D", "RECALL", "send:FWD_NACK", "IV_D",
              guard="already evicted; our WRITEBACK is in flight",
-             retry=True, fairness=_FIFO_WB),
+             retry=True, fairness=FIFO_FAIRNESS),
         _row("IV_W", "RECALL", "send:FWD_NACK", "IV_W",
              guard="already evicted; our WRITEBACK is in flight",
-             retry=True, fairness=_FIFO_WB),
+             retry=True, fairness=FIFO_FAIRNESS),
         _row("AI_W", "RECALL", "send:FWD_NACK", "AI_W",
              guard="already evicted; our WRITEBACK is in flight",
-             retry=True, fairness=_FIFO_WB),
+             retry=True, fairness=FIFO_FAIRNESS),
         # home-side atomic completion
         _row("AV_W", "ATOMIC_REPLY", "cache_write", "V",
              note="our own copy gets the new value with the reply"),
@@ -694,7 +340,7 @@ def pu_spec(competitive: bool = False) -> ProtocolSpec:
                   "unaffected"),
         # recall races
         _row("D_R", "FWD_NACK", "retry_txn", "U", retry=True,
-             fairness=_FIFO_WB,
+             fairness=FIFO_FAIRNESS,
              note="the retried request then re-runs against the clean "
                   "entry"),
     ]

@@ -84,13 +84,14 @@ def machine_config_from_request(data: Any) -> MachineConfig:
             raise _bad(f"unknown config field {key!r}"
                        f"{suggest_names(str(key), valid)}")
         if key in _PROTOCOL_FIELDS:
+            names = "/".join(p.value for p in Protocol)
             if not isinstance(value, str):
                 raise _bad(f"config field {key!r} must be a protocol "
-                           "name (wi/pu/cu/hybrid)")
+                           f"name ({names})")
             try:
                 value = Protocol.parse(value)
             except ValueError as exc:
-                raise _bad(str(exc)) from None
+                raise _bad(f"{exc} ({names})") from None
         kwargs[key] = value
     try:
         config = MachineConfig(**kwargs)

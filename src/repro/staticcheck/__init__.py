@@ -23,8 +23,7 @@ import os
 
 from repro.staticcheck.analyzer import CHECKS, analyze_spec
 from repro.staticcheck.conformance import (
-    ExtractionError, check_conformance, check_dispatch_tables,
-    handler_effects,
+    ExtractionError, check_conformance, handler_effects,
 )
 from repro.staticcheck.graph import (
     SPEC_MUTATIONS, SpecGraphExplorer, SpecMutation,
@@ -39,8 +38,7 @@ DEFAULT_SUPPRESSIONS = os.path.join(os.path.dirname(__file__),
                                     "suppressions.json")
 
 __all__ = [
-    "CHECKS", "analyze_spec", "check_conformance",
-    "check_dispatch_tables", "handler_effects",
+    "CHECKS", "analyze_spec", "check_conformance", "handler_effects",
     "ExtractionError", "Finding", "StaticCheckReport",
     "SuppressionError", "load_suppressions", "DEFAULT_SUPPRESSIONS",
     "SPEC_MUTATIONS", "SpecGraphExplorer", "SpecMutation",

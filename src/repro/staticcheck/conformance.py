@@ -398,64 +398,3 @@ def check_conformance(spec: ProtocolSpec, cls: type) -> List[Finding]:
             line=fn.__code__.co_firstlineno))
     return findings
 
-
-def check_dispatch_tables(spec: ProtocolSpec, cls: type,
-                          protocol) -> List[Finding]:
-    """Round-trip the *compiled execution table* against the spec.
-
-    Since the array-native refactor, the spec is not just documentation:
-    :func:`repro.protocols.base.compile_dispatch` turns
-    ``spec.receivable()`` into the dense ``MsgType.index``-indexed
-    handler table the simulator actually dispatches through.  This
-    check re-derives the expected table row-for-row from the spec and
-    diffs it against the compiled one, so a stale memo, an index-scheme
-    change or a compile bug is a static finding rather than a silently
-    mis-routed (or dropped) message at run time.
-    """
-    from repro.network.messages import MSG_TYPES
-    from repro.protocols.base import compile_dispatch
-
-    findings: List[Finding] = []
-    proto = spec.protocol
-    table = compile_dispatch(cls, protocol)
-    receivable = spec.receivable()
-
-    if len(table) != len(MSG_TYPES):
-        findings.append(Finding(
-            check="dispatch",
-            ident=f"dispatch:{proto}:table-size",
-            detail=f"compiled table has {len(table)} slots for "
-                   f"{len(MSG_TYPES)} message types; dense "
-                   f"MsgType.index dispatch is broken",
-            protocol=proto))
-        return findings
-
-    for mtype in MSG_TYPES:
-        compiled = table[mtype.index]
-        if mtype in receivable:
-            expected = cls.HANDLERS.get(mtype)
-            if compiled != expected:
-                findings.append(Finding(
-                    check="dispatch",
-                    ident=f"dispatch:{proto}:{mtype.name}:mismatch",
-                    detail=f"slot {mtype.index} ({mtype.name}) compiled "
-                           f"to {compiled!r} but the spec routes it to "
-                           f"{cls.__name__}.{expected}",
-                    protocol=proto, event=mtype.name))
-            elif not callable(getattr(cls, compiled, None)):
-                findings.append(Finding(
-                    check="dispatch",
-                    ident=f"dispatch:{proto}:{mtype.name}:unresolvable",
-                    detail=f"slot {mtype.index} ({mtype.name}) names "
-                           f"{compiled!r}, which {cls.__name__} does "
-                           f"not define as a callable",
-                    protocol=proto, event=mtype.name))
-        elif compiled is not None:
-            findings.append(Finding(
-                check="dispatch",
-                ident=f"dispatch:{proto}:{mtype.name}:spurious",
-                detail=f"slot {mtype.index} ({mtype.name}) compiled to "
-                       f"{compiled!r} but the {proto} spec never "
-                       f"routes {mtype.name} to a node",
-                protocol=proto, event=mtype.name))
-    return findings

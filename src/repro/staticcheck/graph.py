@@ -984,16 +984,15 @@ class _RowLocator:
 
     @staticmethod
     def _builders(protocol: str) -> list:
-        from repro.protospec import tables
+        from repro.protospec import mesi_stable, pu_spec, wi_stable
         if protocol == "wi":
-            return [tables.wi_spec]
+            return [wi_stable]
         if protocol in ("pu", "cu"):
-            return [tables.pu_spec]
+            return [pu_spec]
         if protocol == "hybrid":
-            return [tables.wi_spec, tables.pu_spec]
+            return [wi_stable, pu_spec]
         if protocol == "mesi":
-            from repro.protospec.mesi import mesi_stable
-            return [mesi_stable]
+            return [mesi_stable, wi_stable]
         return []                            # pragma: no cover
 
     def locate(self, side: str, row: TransitionRow
@@ -1061,12 +1060,10 @@ def _runs_for(protocol: str, spec: ProtocolSpec,
         # project the merged table back onto its two closed
         # sub-machines: a block is managed by exactly one base
         # protocol, so the cross product is unreachable by design
-        from repro.protospec.tables import cu_spec, wi_spec
-        wi_keys = {_row_key(r) for side in (wi_spec().cache,
-                                            wi_spec().home)
+        from repro.protospec import get_spec
+        wi_keys = {_row_key(r) for side in get_spec("wi").sides
                    for r in side.rows}
-        cu_keys = {_row_key(r) for side in (cu_spec().cache,
-                                            cu_spec().home)
+        cu_keys = {_row_key(r) for side in get_spec("cu").sides
                    for r in side.rows}
         wi_filter = lambda r: _row_key(r) in wi_keys      # noqa: E731
         cu_filter = lambda r: _row_key(r) in cu_keys      # noqa: E731

@@ -15,8 +15,7 @@ from repro.protocols.base import NodeCtrl
 from repro.runtime import Machine
 from repro.sync.locks import make_lock
 
-#: the fields ``post`` writes: every Message slot but the id, the wire
-#: size and ``send``'s timestamp
+#: the fields ``post`` writes: every Message slot but the wire size
 PAYLOAD_FIELDS = tuple(inspect.signature(Network.post).parameters)[1:]
 
 
@@ -63,8 +62,7 @@ def test_post_writes_every_payload_field_in_init_order():
     init = tuple(inspect.signature(Message.__init__).parameters)[1:]
     send = tuple(inspect.signature(NodeCtrl._send).parameters)[1:]
     assert len(PAYLOAD_FIELDS) == 16
-    assert set(Message.__slots__) - set(PAYLOAD_FIELDS) == {
-        "mid", "size", "send_time"}
+    assert set(Message.__slots__) - set(PAYLOAD_FIELDS) == {"size"}
     assert init == PAYLOAD_FIELDS[:4] + ("size",) + PAYLOAD_FIELDS[4:]
     assert send == tuple(f for f in PAYLOAD_FIELDS if f != "src")
 

@@ -10,7 +10,7 @@ closure times included, relative to the clock (``docs/modelcheck.md``).
 
 Tier-1 checks the rows whose full tree takes under a second.  CI checks
 every row whose full tree completes within ``FULL_TREE_SCHEDULES``
-schedules (``FULL_TREE_ROWS``, about 3 minutes)::
+schedules (``FULL_TREE_ROWS``, 28 rows, about 3½ minutes)::
 
     PYTHONPATH=src:tests/integration python -c "
     from test_modelcheck_full_tree import FULL_TREE_ROWS, check_row
@@ -23,18 +23,19 @@ import pytest
 
 import repro.modelcheck.explorer as explorer
 from repro.config import Protocol
-from repro.modelcheck import PROGRAMS, get_program
+from repro.modelcheck import MODEL_CHECK_PROTOCOLS, PROGRAMS, get_program
 
 #: the schedule budget a full tree must complete within
 FULL_TREE_SCHEDULES = 200_000
-#: the sweep's rows (WI/PU/CU/HYBRID) whose full tree fits the budget;
-#: subword/cu and subword/hybrid exceed it
+#: the sweep's rows (all five protocols) whose full tree fits the
+#: budget; subword/cu and subword/hybrid exceed it
 FULL_TREE_ROWS = tuple(
-    f"{name}/{proto}" for name in PROGRAMS
-    for proto in ("wi", "pu", "cu", "hybrid")
-    if f"{name}/{proto}" not in ("subword/cu", "subword/hybrid"))
-CHEAP_ROWS = ("mp/pu", "mp/cu", "lock/pu", "lock/cu", "subword/wi",
-              "evict/wi", "evict/pu", "evict/cu", "evict/hybrid")
+    f"{name}/{proto.value}" for name in PROGRAMS
+    for proto in MODEL_CHECK_PROTOCOLS
+    if f"{name}/{proto.value}" not in ("subword/cu", "subword/hybrid"))
+CHEAP_ROWS = ("mp/pu", "mp/cu", "lock/pu", "lock/cu", "lock/mesi",
+              "subword/wi", "evict/wi", "evict/pu", "evict/cu",
+              "evict/hybrid", "evict/mesi")
 
 
 def recorded_keys(row: str, full_tree: bool):

@@ -1,12 +1,13 @@
 """The litmus sweep and the seeded mutants, pinned count for count.
 
 ``tests/data/modelcheck/sweep-golden.json`` records, for every bundled
-litmus program under WI/PU/CU/HYBRID (the CLI's default sweep), the
-explorer's schedule, state, dedup-hit, choice-point and event counts
-and whether the search completed; and, for every seeded mutation, the
-violation kind and the minimized schedule.  A change to the state
-encoder, the explorer or the protocols that merges or splits states
-shows up here as a changed count.
+litmus program under WI/PU/CU/HYBRID/MESI (the CLI's default sweep,
+``MODEL_CHECK_PROTOCOLS``), the explorer's schedule, state, dedup-hit,
+choice-point and event counts and whether the search completed; and,
+for every seeded mutation, the violation kind and the minimized
+schedule.  A change to the state encoder, the explorer or the
+protocols that merges or splits states shows up here as a changed
+count.
 
 Regenerate (only when a count change is intended and explained)::
 
@@ -23,13 +24,14 @@ from pathlib import Path
 import pytest
 
 from repro.config import Protocol
-from repro.modelcheck import MUTATIONS, PROGRAMS, explore, get_program
+from repro.modelcheck import (
+    MODEL_CHECK_PROTOCOLS, MUTATIONS, PROGRAMS, explore, get_program,
+)
 
 GOLDEN = (Path(__file__).resolve().parents[1] / "data" / "modelcheck"
           / "sweep-golden.json")
-SWEEP_PROTOCOLS = (Protocol.WI, Protocol.PU, Protocol.CU, Protocol.HYBRID)
 ROWS = [f"{name}/{proto.value}" for name in PROGRAMS
-        for proto in SWEEP_PROTOCOLS]
+        for proto in MODEL_CHECK_PROTOCOLS]
 
 
 def litmus_row(row: str) -> dict:

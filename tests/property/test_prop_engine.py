@@ -87,19 +87,19 @@ class TestNetworkProperties:
         sim = Simulator()
         cfg = MachineConfig(num_procs=8)
         net = Network(sim, cfg)
+        # each message carries its send index in ``block``
         deliveries = {n: [] for n in range(8)}
         for n in range(8):
-            net.register(n, lambda m, n=n: deliveries[n].append(m.mid))
+            net.register(n, lambda m, n=n: deliveries[n].append(m.block))
         remote_order = {n: [] for n in range(8)}
-        for src, dst, mtype in sends:
-            msg = Message(mtype, src, dst, 0)
+        for i, (src, dst, mtype) in enumerate(sends):
             if src != dst:
-                remote_order[dst].append(msg.mid)
-            net.send(msg)
+                remote_order[dst].append(i)
+            net.send(Message(mtype, src, dst, i))
         sim.run()
         for n in range(8):
-            got_remote = [mid for mid in deliveries[n]
-                          if mid in set(remote_order[n])]
+            got_remote = [i for i in deliveries[n]
+                          if i in set(remote_order[n])]
             assert got_remote == remote_order[n]
 
     @settings(deadline=None, max_examples=30)
@@ -111,14 +111,11 @@ class TestNetworkProperties:
         net = Network(sim, cfg)
         seen = []
         for n in range(8):
-            net.register(n, lambda m: seen.append(m.mid))
-        sent = []
-        for src, dst in pairs:
-            msg = Message(MsgType.READ_REQ, src, dst, 0)
-            sent.append(msg.mid)
-            net.send(msg)
+            net.register(n, lambda m: seen.append(m.block))
+        for i, (src, dst) in enumerate(pairs):
+            net.send(Message(MsgType.READ_REQ, src, dst, i))
         sim.run()
-        assert sorted(seen) == sorted(sent)
+        assert sorted(seen) == list(range(len(pairs)))
         assert net.stats.messages == len(pairs)
 
     @settings(deadline=None, max_examples=30)
@@ -130,12 +127,12 @@ class TestNetworkProperties:
         net = Network(sim, cfg)
         arrivals = {}
         for n in range(8):
-            net.register(n, lambda m: arrivals.setdefault(m.mid, sim.now))
+            net.register(n, lambda m: arrivals.setdefault(m.block, sim.now))
         floor = {}
-        for src, dst in pairs:
-            msg = Message(MsgType.READ_REQ, src, dst, 0)
-            floor[msg.mid] = net.latency(src, dst, cfg.ctrl_msg_bytes)
-            net.send(msg)
+        for i, (src, dst) in enumerate(pairs):
+            floor[i] = net.latency(src, dst, cfg.ctrl_msg_bytes)
+            net.send(Message(MsgType.READ_REQ, src, dst, i))
         sim.run()
-        for mid, t in arrivals.items():
-            assert t >= floor[mid]
+        assert sorted(arrivals) == sorted(floor)
+        for i, t in arrivals.items():
+            assert t >= floor[i]

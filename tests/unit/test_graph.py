@@ -114,7 +114,7 @@ def test_counterexample_files_do_not_depend_on_the_working_directory(
     files = {row["file"] for ce in graph["counterexamples"]
              for step in ce["steps"] for row in step.get("rows", ())}
     files |= {f.file for f in findings if f.file}
-    assert files == {"src/repro/protospec/tables.py"}
+    assert files == {"src/repro/protospec/wi.py"}
 
 
 def test_truncation_is_reported_not_silent():

@@ -50,12 +50,22 @@ def test_error_lists_every_missing_message():
     assert "UPD_PROP" in text and "RECALL_REPLY" in text
 
 
+def test_handler_naming_a_missing_method_fails_at_construction():
+    class Misnamed(WINodeCtrl):
+        HANDLERS = {**WINodeCtrl.HANDLERS, MsgType.INV: "_cache_inv_typo"}
+
+    machine = _machine(Protocol.WI)
+    with pytest.raises(HandlerTableError) as exc:
+        Misnamed(machine, 0)
+    assert "INV -> _cache_inv_typo" in str(exc.value)
+
+
 def test_validation_is_memoized_per_class():
     # constructing a second node of an already-validated class must not
     # re-walk the spec; the cache keys on (class, protocol)
     from repro.protocols import base
 
     machine = _machine(Protocol.CU)
-    key_count = len(base._VALIDATED_HANDLER_TABLES)
+    key_count = len(base._DISPATCH_TABLES)
     _machine(Protocol.CU)
-    assert len(base._VALIDATED_HANDLER_TABLES) == key_count
+    assert len(base._DISPATCH_TABLES) == key_count

@@ -65,7 +65,13 @@ class TestRunRequests:
 
     def test_bad_protocol_name(self):
         body = dict(RUN_BODY, config={"protocol": "dragon"})
-        err400(api.spec_from_request, body)
+        msg = err400(api.spec_from_request, body)
+        assert "wi/pu/cu/hybrid/mesi" in msg
+
+    def test_non_string_protocol(self):
+        body = dict(RUN_BODY, config={"protocol": 3})
+        msg = err400(api.spec_from_request, body)
+        assert "wi/pu/cu/hybrid/mesi" in msg
 
     def test_workload_required(self):
         body = dict(RUN_BODY)

@@ -16,7 +16,7 @@ from repro.protospec import (
 )
 from repro.staticcheck import (
     StaticCheckReport, SuppressionError, analyze_spec,
-    check_conformance, check_dispatch_tables, load_suppressions,
+    check_conformance, load_suppressions,
 )
 
 ALL = ("wi", "pu", "cu", "hybrid", "mesi")
@@ -173,45 +173,6 @@ def test_pristine_controllers_conform(name):
     spec = get_spec(name)
     cls = _CTRL_CLASSES[Protocol.parse(name)]
     assert check_conformance(spec, cls) == []
-
-
-@pytest.mark.parametrize("name", ALL)
-def test_compiled_dispatch_round_trips(name):
-    """The execution tables the simulator dispatches through must agree
-    row-for-row with what the spec routes."""
-    proto = Protocol.parse(name)
-    spec = get_spec(name)
-    assert check_dispatch_tables(spec, _CTRL_CLASSES[proto], proto) == []
-
-
-def test_corrupted_dispatch_table_is_detected():
-    from repro.protocols import WINodeCtrl
-    from repro.protocols.base import _DISPATCH_TABLES, compile_dispatch
-
-    class _Probe(WINodeCtrl):
-        pass
-
-    proto = Protocol.WI
-    spec = get_spec("wi")
-    receivable = sorted(spec.receivable(), key=lambda m: m.index)
-    routed = receivable[0]
-    unrouted = next(m for m in MsgType if m not in spec.receivable())
-    key = (_Probe, proto)
-    try:
-        table = list(compile_dispatch(_Probe, proto))
-        table[routed.index] = "_no_such_handler"       # mis-routed row
-        table[unrouted.index] = _Probe.HANDLERS[routed]  # spurious row
-        _DISPATCH_TABLES[key] = tuple(table)
-        idents = {f.ident for f in
-                  check_dispatch_tables(spec, _Probe, proto)}
-        assert f"dispatch:wi:{routed.name}:mismatch" in idents
-        assert f"dispatch:wi:{unrouted.name}:spurious" in idents
-
-        _DISPATCH_TABLES[key] = tuple(table[:-1])      # lost a slot
-        findings = check_dispatch_tables(spec, _Probe, proto)
-        assert [f.ident for f in findings] == ["dispatch:wi:table-size"]
-    finally:
-        _DISPATCH_TABLES.pop(key, None)
 
 
 @pytest.mark.parametrize("mutation", [

@@ -1,13 +1,15 @@
-"""The transient-state synthesizer: MESI is authored as a stable-state
-spec only, so every transient row in the shipped table must be
-derivable -- and re-derivable, deterministically -- from
-:func:`repro.protospec.mesi_stable`."""
+"""The transient-state synthesizer: WI and MESI are authored as
+stable-state specs only, so every transient row in their shipped
+tables must be derivable -- and re-derivable, deterministically --
+from :func:`repro.protospec.wi_stable` and
+:func:`repro.protospec.mesi_stable`.  The structural tests below run
+on MESI, the larger of the two."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.protospec import get_spec, mesi_stable, synthesize
+from repro.protospec import get_spec, mesi_stable, synthesize, wi_stable
 from repro.protospec.synth import FIFO_FAIRNESS, XFER_FAIRNESS
 
 
@@ -33,6 +35,39 @@ def test_shipped_mesi_is_the_synthesized_spec(spec):
     """get_spec('mesi') must be synthesize(mesi_stable()) -- the tree
     carries no hand-written MESI transients."""
     assert get_spec("mesi").dumps() == spec.dumps()
+
+
+def test_shipped_wi_is_the_synthesized_spec():
+    """get_spec('wi') must be synthesize(wi_stable()) -- the tree
+    carries no hand-written WI table."""
+    assert get_spec("wi").dumps() == synthesize(wi_stable()).dumps()
+
+
+def test_mesi_stable_is_wi_stable_plus_clean_exclusive_deltas():
+    """Every WI declaration is in MESI's stable spec unchanged, except
+    the unowned-block READ_REQ serve that MESI grants as E; what MESI
+    adds names E or EXCL_REPLY."""
+    wi, mesi = wi_stable(), mesi_stable()
+    for part in ("local_rules", "reactions"):
+        ours, theirs = (getattr(wi.cache, part),
+                        getattr(mesi.cache, part))
+        assert theirs[:len(ours)] == ours
+        assert all(d.state == "E" for d in theirs[len(ours):])
+    for ours, theirs in zip(wi.cache.transactions,
+                            mesi.cache.transactions, strict=True):
+        added = theirs.completions[len(ours.completions):]
+        assert theirs.completions[:len(ours.completions)] \
+            == ours.completions
+        assert [c.event for c in added] == (
+            ["EXCL_REPLY"] if ours.transient == "IS_D" else [])
+    changed = [(a, b) for a, b in zip(wi.home.serves, mesi.home.serves,
+                                      strict=True) if a != b]
+    assert [(a.state, a.request, b.actions) for a, b in changed] == [
+        ("U", "READ_REQ", "send:EXCL_REPLY dir:=DIRTY")]
+    assert (wi.home.forwards, wi.home.rules) == (mesi.home.forwards,
+                                                 mesi.home.rules)
+    assert set(wi.unused_messages) - set(mesi.unused_messages) == {
+        u for u in wi.unused_messages if u[0] == "EXCL_REPLY"}
 
 
 def test_transients_are_generated_not_authored(stable, spec):
