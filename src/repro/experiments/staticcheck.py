@@ -130,8 +130,8 @@ def _check(args, protocols: List[Protocol]) -> int:
             if not args.quiet:
                 states = sum(r["states"] for r in record["runs"])
                 print(f"  [graph {proto.value}: {states} product "
-                      f"states explored in {elapsed:.1f} s]",
-                      file=sys.stderr)
+                      f"states (up to the agent mirror) explored in "
+                      f"{elapsed:.1f} s]", file=sys.stderr)
     if not args.no_suppressions:
         try:
             table = load_suppressions(args.suppressions)

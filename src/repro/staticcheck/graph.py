@@ -28,6 +28,14 @@ Every violation carries a **minimized counterexample path** (BFS finds
 shortest traces) whose steps name the rows that fired, attributed back
 to ``file:line`` in the spec builder source.
 
+The two cache agents are interchangeable -- no table row names an
+agent, routing is by role, and ``when`` predicates compare agent ids
+only by equality and membership -- so the swap of agents 0 and 1 maps
+successors to successors and every check above to itself.  The
+explorer therefore visits each state once up to that **mirror**: a
+new state is interned under its own key and its mirror's, and is
+expanded as first reached, so paths stay concrete.
+
 The model is deliberately small and finite:
 
 * one block, two cache agents, one home -- every protocol race in
@@ -58,11 +66,13 @@ must catch each one with a counterexample path, which is what
 
 from __future__ import annotations
 
+import ast
 import gc
 import inspect
-import re
+import textwrap
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set,
     Tuple,
@@ -153,6 +163,54 @@ class Msg(NamedTuple):
 _CHANNELS = ((0, HOME), (1, HOME), (HOME, 0), (HOME, 1), (0, 1), (1, 0))
 #: (src, dst) -> the channel's index in ``World.chans``
 _CHANNEL_INDEX = {chan: i for i, chan in enumerate(_CHANNELS)}
+
+# ---------------------------------------------------------------------
+# the agent mirror
+# ---------------------------------------------------------------------
+
+#: the party each party becomes when agents 0 and 1 swap
+_SWAP = {0: 1, 1: 0, HOME: HOME}
+#: channel i of a mirrored state carries channel _MIRROR_CHANNEL[i]
+_MIRROR_CHANNEL = tuple(_CHANNEL_INDEX[_SWAP[src], _SWAP[dst]]
+                        for src, dst in _CHANNELS)
+#: agent sets (sharers, early writebacks) under the swap
+_MIRROR_SET = {s: frozenset(_SWAP[a] for a in s) for s in (
+    frozenset(), frozenset((0,)), frozenset((1,)), frozenset((0, 1)))}
+
+
+def _mirror_msg(m: Msg) -> Msg:
+    return Msg(m.type, _SWAP[m.src], _SWAP[m.dst], _SWAP[m.requester],
+               m.tag, m.nacks, m.retain, m.stale_epoch)
+
+
+class Mirror(dict):
+    """The swap of agents 0 and 1 on frozen states: per-agent fields
+    trade places, agent ids in the directory and in every queued, open
+    or in-flight message are renamed, and the channels trade places.
+
+    Call it on a frozen state.  As a dict it maps each message tuple
+    (a channel, the home queue, or the open transaction's request as a
+    1-tuple) to its mirror, filled on first use: a spec graph holds a
+    few hundred distinct ones, so an exploration builds one ``Mirror``,
+    mirrors each of them once, and its interned states share them."""
+
+    def __missing__(self, msgs: Tuple[Msg, ...]) -> Tuple[Msg, ...]:
+        self[msgs] = mirrored = tuple(map(_mirror_msg, msgs))
+        return mirrored
+
+    def __call__(self, frozen: tuple) -> tuple:
+        (cstate, copy, acks, budget, poisoned, home, owner, sharers, mem,
+         open_txn, queue, chans, early_wb) = frozen
+        return ((cstate[1], cstate[0]), (copy[1], copy[0]),
+                (acks[1], acks[0]), (budget[1], budget[0]),
+                (poisoned[1], poisoned[0]), home,
+                None if owner is None else _SWAP[owner],
+                _MIRROR_SET[sharers], mem,
+                None if open_txn is None else self[(open_txn,)][0],
+                self[queue],
+                tuple(map(self.__getitem__,
+                          map(chans.__getitem__, _MIRROR_CHANNEL))),
+                _MIRROR_SET[early_wb])
 
 
 class World:
@@ -309,16 +367,25 @@ def _when_ok(when: str, msg: Optional[Msg], world: World,
 # the explorer
 # ---------------------------------------------------------------------
 
+class Violation(NamedTuple):
+    """One finding of a run, at the first state (in BFS order) that
+    shows it."""
+
+    kind: str
+    detail: str
+    sid: int
+    #: ``(kind, text)``, the same for a state and its mirror: ``text``
+    #: is the detail without the agent it names (for a deadlock, the
+    #: smaller of the two orientations' details)
+    key: tuple
+
+
 class _Stuck(Exception):
     """A delivery hit a pair with no row: completeness violation."""
 
-    def __init__(self, finding_kind: str, side: str, state: str,
-                 event: str, detail: str) -> None:
+    def __init__(self, finding_kind: str, detail: str) -> None:
         super().__init__(detail)
         self.finding_kind = finding_kind
-        self.side = side
-        self.state = state
-        self.event = event
         self.detail = detail
 
 
@@ -348,7 +415,8 @@ class Step:
 
 
 class SpecGraphExplorer:
-    """BFS over the 2-agent x home product graph of one spec."""
+    """BFS over the 2-agent x home product graph of one spec, one
+    state per agent-mirror orbit."""
 
     def __init__(self, spec: ProtocolSpec, *, retain: bool = True,
                  threshold: int = 2, max_ops: int = 3,
@@ -372,8 +440,9 @@ class SpecGraphExplorer:
         self.succs: List[List[int]] = []
         #: ids of the quiescent states, ascending
         self.quiescent: List[int] = []
-        #: (kind, detail, state id)
-        self.violations: List[Tuple[str, str, int]] = []
+        #: one per distinct ``Violation.key``, in BFS order
+        self.violations: List[Violation] = []
+        self._reported: Set[tuple] = set()
         self.truncated = False
         # (side, state, event) -> the rows row_filter keeps, built lazily
         self._index: Dict[Tuple[str, str, str],
@@ -415,11 +484,11 @@ class SpecGraphExplorer:
             imp = side.impossible_for(state, event)
             if imp is not None:
                 raise _Stuck(
-                    "impossible-reached", side.name, state, event,
+                    "impossible-reached",
                     f"({state}, {event}) was declared impossible "
                     f"({imp.reason!r}) but the spec graph reaches it")
             raise _Stuck(
-                "missing-row", side.name, state, event,
+                "missing-row",
                 f"({state}, {event}) is reachable but has neither a "
                 f"row nor an impossible entry")
         return self._select(rows, world, msg, agent)
@@ -817,41 +886,66 @@ class SpecGraphExplorer:
                 and not world.in_flight()
                 and world.acks == [0, 0])
 
+    def _report(self, kind: str, sid: int, detail: str,
+                key: Optional[str] = None) -> None:
+        """Record a violation unless one with the same key (by default
+        its detail) was recorded before.  A detail that names an agent
+        passes its mirror-invariant remainder as ``key``."""
+        key = (kind, detail if key is None else key)
+        if key not in self._reported:
+            self._reported.add(key)
+            self.violations.append(Violation(kind, detail, sid, key))
+
+    def _report_agent(self, kind: str, sid: int, agent: int,
+                      text: str) -> None:
+        self._report(kind, sid, f"agent {agent} {text}", key=text)
+
     def _data_violations(self, world: World, sid: int,
                          quiescent: bool) -> None:
         if quiescent:
             for agent in AGENTS:
                 cp = world.copy[agent]
                 if cp is not None and cp[0] != FRESH:
-                    self.violations.append((
-                        "stale-copy",
-                        f"agent {agent} rests with a {cp[0]}-tagged "
-                        f"copy in {world.cstate[agent]}: a local read "
-                        f"would return a value older than the last "
-                        f"serialized write", sid))
+                    self._report_agent(
+                        "stale-copy", sid, agent,
+                        f"rests with a {cp[0]}-tagged copy in "
+                        f"{world.cstate[agent]}: a local read would "
+                        f"return a value older than the last "
+                        f"serialized write")
             if world.owner is None and world.mem != FRESH:
-                self.violations.append((
-                    "stale-copy",
+                self._report(
+                    "stale-copy", sid,
                     f"memory rests {world.mem}-tagged with no "
                     f"recorded owner: the next miss is served stale "
-                    f"data", sid))
+                    f"data")
         for agent in AGENTS:
             cp = world.copy[agent]
             if cp is not None and cp[1] >= self.threshold:
-                self.violations.append((
-                    "cu-counter",
-                    f"agent {agent} keeps a resident copy at the "
-                    f"competitive threshold ({cp[1]} >= "
-                    f"{self.threshold}): the line never drops and "
-                    f"every remote write keeps paying the update",
-                    sid))
+                self._report_agent(
+                    "cu-counter", sid, agent,
+                    f"keeps a resident copy at the competitive "
+                    f"threshold ({cp[1]} >= {self.threshold}): the "
+                    f"line never drops and every remote write keeps "
+                    f"paying the update")
+
+    @staticmethod
+    def _deadlock_detail(frozen: tuple) -> str:
+        cstate, acks, home, chans = frozen[0], frozen[2], frozen[5], \
+            frozen[11]
+        return (f"non-quiescent state has no successor: cache={cstate} "
+                f"home={home} in-flight="
+                f"{[m.label() for chan in chans for m in chan]} "
+                f"acks={acks}")
 
     # -- the BFS driver ------------------------------------------------
 
     def run(self) -> None:
         """Number each new state in BFS order and expand it once.  The
-        exact frozen tuple is the dedup key; it is interned to its id
-        here, and each world is dropped once it has been expanded.
+        exact frozen tuple and its :class:`Mirror` image are both
+        interned to the state's id, so a state reached after its mirror
+        is not numbered again; each world is dropped once it has been
+        expanded.  A state and its mirror sit at the same BFS depth,
+        so paths stay shortest.
 
         The cyclic collector is paused meanwhile: the interned states,
         successor lists and parents live until the run returns, and the
@@ -865,13 +959,14 @@ class SpecGraphExplorer:
                 gc.enable()
 
     def _explore(self) -> None:
+        mirror = Mirror()
         start = self._initial()
         start_frozen = start.freeze()
+        # the start state is its own mirror
         ids: Dict[tuple, int] = {start_frozen: 0}
         self.parent.append((None, Step("start")))
         # (world, frozen) of the states not yet expanded, in id order
         pending = deque([(start, start_frozen)])
-        seen_violations: Set[tuple] = set()
         while pending:
             world, frozen = pending.popleft()
             sid = len(self.succs)
@@ -882,41 +977,26 @@ class SpecGraphExplorer:
             quiescent = self._is_quiescent(world)
             if quiescent:
                 self.quiescent.append(sid)
-            n_before = len(self.violations)
             self._data_violations(world, sid, quiescent)
             try:
                 succs = self._successors(world, frozen)
             except _Stuck as stuck:
-                key = (stuck.finding_kind, stuck.side, stuck.state,
-                       stuck.event)
-                if key not in seen_violations:
-                    seen_violations.add(key)
-                    self.violations.append((
-                        stuck.finding_kind, stuck.detail, sid))
+                self._report(stuck.finding_kind, sid, stuck.detail)
                 continue
-            self.violations = (
-                self.violations[:n_before]
-                + [v for v in self.violations[n_before:]
-                   if v[:2] not in seen_violations])
-            for v in self.violations[n_before:]:
-                seen_violations.add(v[:2])
             if not succs and not quiescent:
-                self.violations.append((
-                    "deadlock",
-                    f"non-quiescent state has no successor: cache="
-                    f"{tuple(world.cstate)} home={world.home} "
-                    f"in-flight="
-                    f"{[m.label() for chan in world.chans for m in chan]} "
-                    f"acks={tuple(world.acks)}", sid))
+                detail = self._deadlock_detail(frozen)
+                self._report("deadlock", sid, detail, key=min(
+                    detail, self._deadlock_detail(mirror(frozen))))
                 continue
             for succ, label, rows in succs:
                 sf = succ.freeze()
                 kid = ids.get(sf)
                 if kid is None:
-                    if len(ids) >= self.max_states:
+                    kid = len(self.parent)
+                    if kid >= self.max_states:
                         self.truncated = True
                         continue
-                    kid = ids[sf] = len(ids)
+                    ids[sf] = ids[mirror(sf)] = kid
                     self.parent.append((sid, Step(label, rows)))
                     pending.append((succ, sf))
                 kids.append(kid)
@@ -943,11 +1023,11 @@ class SpecGraphExplorer:
         # report the first such state in BFS order, i.e. the lowest id
         stuck = can_rest.find(0)
         if stuck >= 0:
-            self.violations.append((
-                "livelock",
+            self._report(
+                "livelock", stuck,
                 "reachable state from which no quiescent state "
                 "is reachable: an in-flight transaction can "
-                "never complete", stuck))
+                "never complete")
 
     # -- counterexample reconstruction ---------------------------------
 
@@ -965,22 +1045,119 @@ class SpecGraphExplorer:
 # file:line attribution back to the spec builder source
 # ---------------------------------------------------------------------
 
+#: the spec builders' row-declaring calls: name -> (side, the
+#: positional index of the row's state, of its event, of a transient
+#: state the call declares).  ``_row`` (:mod:`repro.protospec.tables`)
+#: takes its side from the list it is added to (``cache_rows`` /
+#: ``home_rows``).
+_DECLARATIONS = {
+    "LocalRule": ("cache", 0, 1, None),
+    "CacheTxn": ("cache", 0, 1, 3),
+    "LostCopy": ("cache", None, None, 0),
+    "Reaction": ("cache", 0, 1, None),
+    "HomeServe": ("home", 0, 1, None),
+    "HomeForward": ("home", 0, 1, 3),
+    "HomeRule": ("home", 0, 1, None),
+    "_row": (None, 0, 1, None),
+}
+
+
+class _Decl(NamedTuple):
+    """One row-declaring call in a spec builder's source."""
+
+    side: str
+    path: str
+    line: int                   # where its positional arguments start
+    state: Optional[str]        # ANY_STATE when a variable names it
+    event: Optional[str]
+    declares: Optional[str]     # the transient state it introduces
+    when: Optional[str]
+
+
+@lru_cache(maxsize=None)
+def _declarations(fn) -> Tuple[_Decl, ...]:
+    """Every row-declaring call in ``fn``'s source, in source order.
+    Memoized per builder: ``check_spec_graph`` builds a locator per
+    call, and a builder's source does not change while it runs."""
+    lines, first = inspect.getsourcelines(fn)
+    path = source_path(inspect.getsourcefile(fn))
+    out: List[_Decl] = []
+
+    def text(call: ast.Call, i: Optional[int],
+             variable: Optional[str] = None) -> Optional[str]:
+        """Positional argument ``i`` if it is a string literal;
+        ``variable`` if it is a name."""
+        if i is None or i >= len(call.args):
+            return None
+        node = call.args[i]
+        if isinstance(node, ast.Name):
+            return variable
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        return None
+
+    def declaration(call: ast.Call, owner: str) -> _Decl:
+        side, state_i, event_i, declares_i = _DECLARATIONS[call.func.id]
+        when = next((kw.value.value for kw in call.keywords
+                     if kw.arg == "when"
+                     and isinstance(kw.value, ast.Constant)), None)
+        return _Decl(side or owner.split("_")[0], path,
+                     first - 1 + (call.args or [call])[0].lineno,
+                     # a loop variable (or ANY_STATE) matches any state
+                     text(call, state_i, variable=ANY_STATE),
+                     text(call, event_i), text(call, declares_i), when)
+
+    def visit(node: ast.AST, owner: str) -> None:
+        # ``owner``: the name the enclosing statement assigns or
+        # appends to (``cache_rows``, ``home_rows``, ...)
+        if isinstance(node, ast.Assign) \
+                and isinstance(node.targets[0], ast.Name):
+            owner = node.targets[0].id
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            owner = node.target.id
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name):
+                owner = node.func.value.id          # rows.append(...)
+            elif isinstance(node.func, ast.Name) \
+                    and node.func.id in _DECLARATIONS:
+                out.append(declaration(node, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(textwrap.dedent("".join(lines))), "")
+    return tuple(out)
+
+
+def _rank(decl: _Decl, row: TransitionRow) -> Optional[int]:
+    """How directly ``decl`` declares ``row``: 0 is its own call
+    (state, event and ``when`` equal), 4 and 5 only the row's state
+    (introduced as a transient, or as a row's source state), ``None``
+    not at all."""
+    if decl.event == row.event and decl.state in (row.state, ANY_STATE):
+        return 2 * (decl.state != row.state) + (decl.when != row.when)
+    if decl.declares == row.state:
+        return 4
+    if decl.state == row.state:
+        return 5
+    return None
+
+
 class _RowLocator:
-    """Best-effort mapping from a row back to the builder source line
-    that wrote it (synthesized rows fall back to the stable-spec
-    definition that induced them)."""
+    """Maps a row back to the builder source line that declared it,
+    searching only the declarations of the row's own side.  A row no
+    call declares by itself (a synthesized race, NACK or completion
+    row) points at the call that introduced its transient state."""
 
     def __init__(self, protocol: str) -> None:
-        self._sources: List[Tuple[str, int, List[str]]] = []
-        self._cache: Dict[Tuple[str, str, str], Optional[
-            Tuple[str, int]]] = {}
+        self._decls: List[_Decl] = []
+        self._cache: Dict[tuple, Optional[Tuple[str, int]]] = {}
         for fn in self._builders(protocol):
             try:
-                lines, first = inspect.getsourcelines(fn)
-                path = source_path(inspect.getsourcefile(fn))
+                self._decls.extend(_declarations(fn))
             except (OSError, TypeError):     # pragma: no cover
                 continue
-            self._sources.append((path, first, lines))
 
     @staticmethod
     def _builders(protocol: str) -> list:
@@ -997,32 +1174,17 @@ class _RowLocator:
 
     def locate(self, side: str, row: TransitionRow
                ) -> Optional[Tuple[str, int]]:
-        key = (side, row.state, row.event)
-        if key in self._cache:
-            return self._cache[key]
-        state_pat = f'"{row.state}"'
-        event_pat = f'"{row.event}"'
-        best: Optional[Tuple[str, int]] = None
-        for path, first, lines in self._sources:
-            for off, line in enumerate(lines):
-                if state_pat in line and event_pat in line:
-                    best = (path, first + off)
-                    break
-            if best:
-                break
-        if best is None:
-            for path, first, lines in self._sources:
-                for off, line in enumerate(lines):
-                    if event_pat in line:
-                        best = (path, first + off)
-                        break
-                if best:
-                    break
-        if best is None and self._sources:
-            path, first, _ = self._sources[0]
-            best = (path, first)
-        self._cache[key] = best
-        return best
+        key = (side, row.state, row.event, row.when)
+        if key not in self._cache:
+            # the best-ranked declaration; the first of equals
+            best: Optional[_Decl] = None
+            best_rank = 6                   # worse than any rank
+            for decl in self._decls:
+                rank = _rank(decl, row) if decl.side == side else None
+                if rank is not None and rank < best_rank:
+                    best, best_rank = decl, rank
+            self._cache[key] = best and (best.path, best.line)
+        return self._cache[key]
 
 
 # ---------------------------------------------------------------------
@@ -1096,7 +1258,8 @@ def check_spec_graph(protocol, spec: Optional[ProtocolSpec] = None,
     counterexamples: List[dict] = []
     visited_states = {"cache": set(), "home": set()}
     visited_rows = {"cache": set(), "home": set()}
-    seen: Set[Tuple[str, str]] = set()
+    # a later run's repeat of an earlier run's finding is not reported
+    seen: Set[tuple] = set()
     counters: Dict[str, int] = {}
     for run in _runs_for(proto, spec, threshold):
         ex = explore_spec(spec, retain=run["retain"],
@@ -1110,10 +1273,10 @@ def check_spec_graph(protocol, spec: Optional[ProtocolSpec] = None,
                           "states": len(ex.parent),
                           "quiescent": len(ex.quiescent),
                           "truncated": ex.truncated})
-        for kind, detail, sid in ex.violations:
-            if (kind, detail) in seen:
+        for kind, detail, sid, key in ex.violations:
+            if key in seen:
                 continue
-            seen.add((kind, detail))
+            seen.add(key)
             n = counters[kind] = counters.get(kind, 0) + 1
             ident = f"{proto}/graph-{kind}/{n}"
             steps = ex.path_to(sid)

@@ -5,12 +5,16 @@ The dynamic checker runs the mutation's witness litmus program on the
 real simulator; the graph explorer sees only the mutated tables.  Both
 must flag every mutation, and the explorer must localize it to the
 violation kind the mutation was seeded to produce, with a spec-level
-counterexample path.  The mutated PU and CU product graphs take about
-40 s and 60 s of CPU to exhaust (2-vCPU Intel Xeon VM, Python 3.11),
-hence the ``slow`` marks.  Each mutant's graph record must also equal
-the one pinned in ``tests/data/staticcheck/graph-golden.json``."""
+counterexample path, and every such path must replay on the tables to
+a state that shows its finding.  The mutated PU and CU product graphs
+take about 17 s and 23 s of CPU to exhaust (2-vCPU Intel Xeon VM,
+Python 3.11), hence the ``slow`` marks.  Each mutant's graph record
+must also equal the one pinned in
+``tests/data/staticcheck/graph-golden.json``."""
 
 from __future__ import annotations
+
+from collections import deque
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.protospec import get_spec
 from repro.staticcheck import (
     SPEC_MUTATIONS, apply_spec_mutation, check_spec_graph,
 )
+from repro.staticcheck.graph import SpecGraphExplorer, _runs_for, _Stuck
 from tests.unit.test_graph_golden import assert_matches_golden
 
 _SLOW = {"pu-upd-prop-overwrite", "cu-counter-stuck"}
@@ -60,5 +65,83 @@ def test_both_checkers_flag_the_mutation(name):
         f"{set(spec_mut.expect)}")
     assert graph["counterexamples"], (
         f"{name}: no spec-level counterexample path emitted")
+    # every counterexample replays on the tables to its finding
+    assert_counterexamples_replay(spec_mut.protocol, mutated, findings,
+                                  graph)
     # and exactly the record pinned in the graph golden
     assert_matches_golden(name, graph)
+
+
+def _step_key(side_rows) -> list:
+    return [(side, row.state, row.event, tuple(row.actions))
+            for side, row in side_rows]
+
+
+def _can_rest(ex: SpecGraphExplorer, world) -> bool:
+    """Some quiescent state is reachable from ``world``."""
+    seen = {world.freeze()}
+    pending = deque([world])
+    while pending:
+        world = pending.popleft()
+        if ex._is_quiescent(world):
+            return True
+        try:
+            succs = ex._successors(world, world.freeze())
+        except _Stuck:
+            continue
+        for succ, _, _ in succs:
+            sf = succ.freeze()
+            if sf not in seen:
+                seen.add(sf)
+                pending.append(succ)
+    return False
+
+
+def _shows(ex: SpecGraphExplorer, world, kind: str, detail: str) -> bool:
+    """``world`` exhibits the violation ``(kind, detail)``."""
+    if kind == "livelock":
+        return not _can_rest(ex, world)
+    frozen = world.freeze()
+    try:
+        succs = ex._successors(world, frozen)
+    except _Stuck as stuck:
+        return (stuck.finding_kind, stuck.detail) == (kind, detail)
+    quiescent = ex._is_quiescent(world)
+    if kind == "deadlock":
+        return (not succs and not quiescent
+                and ex._deadlock_detail(frozen) == detail)
+    ex._data_violations(world, 0, quiescent)
+    return (kind, detail) in {(v.kind, v.detail) for v in ex.violations}
+
+
+def assert_counterexamples_replay(proto, spec, findings, graph) -> None:
+    """Follow every counterexample label by label through
+    ``_successors`` from the initial world; its last world must show
+    the finding.  A step that fires several rows (or redispatches a
+    queued request) branches, so the replay tracks every world the
+    labels allow."""
+    runs = {run["label"]: run for run in _runs_for(
+        proto, spec, graph["threshold"])}
+    details = {f.ident: f.detail for f in findings}
+    for ce in graph["counterexamples"]:
+        run = runs[ce["run"]]
+        params = dict(retain=run["retain"], threshold=graph["threshold"],
+                      max_ops=graph["max_ops"],
+                      row_filter=run.get("row_filter"))
+        ex = SpecGraphExplorer(spec, **params)
+        worlds = [ex._initial()]
+        for step in ce["steps"][1:]:
+            want = [(r["side"], r["state"], r["event"],
+                     tuple(r["actions"])) for r in step.get("rows", ())]
+            worlds = [succ for world in worlds
+                      for succ, label, rows in ex._successors(
+                          world, world.freeze())
+                      if label == step["label"]
+                      and _step_key(rows) == want]
+            assert worlds, f"{ce['ident']}: no successor {step}"
+        # the finding's detail, without the run label and the trace
+        detail = details[ce["ident"]].split("] ", 1)[1].rsplit(
+            "; shortest trace: ", 1)[0]
+        assert any(_shows(SpecGraphExplorer(spec, **params), world,
+                          ce["kind"], detail) for world in worlds), (
+            f"{ce['ident']}: the replayed path does not show {detail}")
