@@ -28,16 +28,17 @@ order, exactly matching the previous heapq implementation):
   ``horizon`` rises past an event's cycle -- so within any bucket,
   append order is scheduling order.
 
-:class:`ControlledSimulator` (model checking) keeps the explicit
-``(when, seq, fn, args)`` heap representation instead: it must expose
-same-cycle candidate *batches* as choice points, snapshot cheaply at
-every branch, and share event tuples between snapshots by reference.
+:class:`ControlledSimulator` (model checking) runs on this same queue:
+it pops a whole bucket as the batch of candidates for a choice point,
+and puts the untaken ones back at the head of their bucket.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 #: ring size in cycles; must be a power of two.  Delays in the modelled
@@ -374,12 +375,29 @@ class Simulator:
     # snapshot / restore
     # ------------------------------------------------------------------
 
+    def _buckets(self) -> Iterator[Tuple[int, list]]:
+        """Yield ``(when, bucket)`` for every occupied ring bucket in
+        cycle order, visiting only the set bits of the occupancy mask:
+        first the bits at or above ``now & _MASK``, then the ones that
+        wrapped past the lap boundary."""
+        now = self.now
+        idx = now & _MASK
+        occ = self._occ
+        ring = self._ring
+        for bits, base in ((occ >> idx, now),
+                           (occ & ~(-1 << idx), now + _RING - idx)):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                t = base + low.bit_length() - 1
+                yield t, ring[t & _MASK]
+
     def snapshot(self):
         """O(pending events) copy of the simulator's state.  Callback
         and argument references are shared with the snapshot; the bound
         arguments are component objects the caller is responsible for
         restoring in place."""
-        buckets = [(i, b[:]) for i, b in enumerate(self._ring) if b]
+        buckets = [(t & _MASK, b[:]) for t, b in self._buckets()]
         return (self.now, self._seq, self.events_processed,
                 self._stopped, self._horizon,
                 buckets, self._overflow[:], self._occ)
@@ -387,15 +405,14 @@ class Simulator:
     def restore(self, snap) -> None:
         (now, seq, events_processed, stopped, horizon,
          buckets, overflow, occ) = snap
+        for _t, b in self._buckets():
+            b.clear()
         self.now = now
         self._seq = seq
         self.events_processed = events_processed
         self._stopped = stopped
         self._horizon = horizon
         ring = self._ring
-        for b in ring:
-            if b:
-                del b[:]
         for i, items in buckets:
             ring[i][:] = items
         self._overflow[:] = overflow
@@ -415,54 +432,44 @@ class Simulator:
 
     def iter_pending(self) -> Iterator[Tuple[int, int, Callable[..., Any],
                                              tuple]]:
-        """Yield every pending event as ``(when, seq, fn, args)``.
-
-        The public view of the queue: iteration order is unspecified,
-        but sorting the yielded tuples by ``(when, seq)`` gives exact
-        dispatch order.  Ring events carry a synthetic per-call ``seq``
-        (their relative order is what is meaningful); overflow events
-        keep their real one, and since every overflow ``when`` exceeds
-        every ring ``when`` the combined sort order is still exact.
-        """
-        ring = self._ring
-        seq = 0
-        for t in range(self.now, self._horizon):
-            b = ring[t & _MASK]
+        """Yield every pending event as ``(when, position, fn, args)``,
+        in dispatch order; ``position`` is the event's place among the
+        pending events of its cycle (0 fires first).  Every overflow
+        ``when`` lies beyond every ring ``when``, so the overflow
+        events, in ``(when, seq)`` order, come last."""
+        for t, b in self._buckets():
             for j in range(0, len(b), 2):
-                seq += 1
-                yield (t, seq, b[j], b[j + 1])
-        for when, real_seq, fn, args in sorted(self._overflow):
-            yield (when, real_seq, fn, args)
+                yield (t, j >> 1, b[j], b[j + 1])
+        for when, group in groupby(sorted(self._overflow), itemgetter(0)):
+            for pos, (_when, _seq, fn, args) in enumerate(group):
+                yield (when, pos, fn, args)
 
 
 class ControlledSimulator(Simulator):
     """A :class:`Simulator` whose same-cycle event order is a choice.
 
-    The stock simulator resolves same-cycle ties by scheduling order
-    (``seq``), which makes every run deterministic -- and blind to the
+    The stock simulator resolves same-cycle ties by scheduling order,
+    which makes every run deterministic -- and blind to the
     interleavings a real machine could exhibit.  This subclass exposes
     that tie-break as an explicit *choice point*: whenever two or more
     events are ready at the minimum time, ``chooser(candidates)`` picks
-    which one fires next; the rest are pushed back (keeping their seq
-    numbers) and re-offered -- possibly alongside events the chosen
-    handler just scheduled for the same cycle.
+    which one fires next; the rest go back to the head of their bucket
+    and are re-offered -- possibly alongside events the chosen handler
+    just scheduled for the same cycle.
 
-    ``candidates`` is the seq-ordered list of ready event tuples
-    ``(time, seq, fn, args)``.  A ``None`` chooser (or one that always
-    answers 0) reproduces the stock simulator exactly.  Every decision
-    is appended to ``choice_log`` as ``(n_candidates, chosen_index)``,
-    which is precisely the schedule the model checker replays.
+    ``candidates`` is the bucket's events in scheduling order, as
+    ``(when, position, fn, args)`` tuples.  A ``None`` chooser (or one
+    that always answers 0) reproduces the stock simulator exactly.
+    Every decision is appended to ``choice_log`` as
+    ``(n_candidates, chosen_index)``, which is precisely the schedule
+    the model checker replays.
 
-    Unlike the base class, storage here *is* an explicit
-    ``(when, seq, fn, args)`` heap: the model checker needs cheap
-    snapshots at every branch point and same-cycle candidate batches as
-    first-class values.  It manipulates them only through the public
-    API -- :meth:`pop_ready_batch`, :meth:`push_events`,
-    :meth:`pending_snapshot` and :meth:`step` -- so the two queue
-    representations can evolve independently.
+    The queue is the base class's calendar queue; the model checker
+    reads it through :meth:`pop_ready_batch`, :meth:`push_events`,
+    :meth:`iter_pending` and :meth:`step`.
     """
 
-    __slots__ = ("chooser", "choice_log", "_queue")
+    __slots__ = ("chooser", "choice_log")
 
     def __init__(self, chooser: Optional[
             Callable[[List[tuple]], int]] = None,
@@ -470,56 +477,45 @@ class ControlledSimulator(Simulator):
         super().__init__(max_events=max_events)
         self.chooser = chooser
         self.choice_log: List[Tuple[int, int]] = []
-        self._queue: List[Tuple[int, int, Callable[..., Any], tuple]] = []
 
-    # -- scheduling (heap representation) ------------------------------
-
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, args))
-
-    def at(self, when: int, fn: Callable[..., Any], *args: Any) -> None:
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past ({when} < {self.now})")
-        self._seq += 1
-        heapq.heappush(self._queue, (when, self._seq, fn, args))
+    # the base class's scheduling, bound in this class's own namespace:
+    # perfbench/probes.py wraps these two, _pop_controlled, run and step
+    # from vars(ControlledSimulator) (tests/unit/test_perfbench_probes.py)
+    schedule = Simulator.schedule
+    at = Simulator.at
 
     # -- public batch API (used by the model checker) ------------------
 
     def pop_ready_batch(self) -> List[tuple]:
-        """Pop and return every event ready at the minimum pending
-        time, in ``seq`` (i.e. scheduling) order.  The returned tuples
-        are exactly what :meth:`push_events` accepts back."""
-        queue = self._queue
-        when = queue[0][0]
-        batch = [heapq.heappop(queue)]
-        while queue and queue[0][0] == when:
-            batch.append(heapq.heappop(queue))
+        """Drain the next occupied bucket: every event ready at the
+        minimum pending time, as ``(when, position, fn, args)`` tuples
+        in scheduling order.  The clock moves to that time.  The
+        returned tuples are exactly what :meth:`push_events` accepts
+        back."""
+        t = self._next_time()
+        self.now = t
+        if t >= self._horizon:
+            self._advance_horizon()
+        bi = t & _MASK
+        b = self._ring[bi]
+        self._occ &= _CLR[bi]
+        batch = [(t, j >> 1, b[j], b[j + 1]) for j in range(0, len(b), 2)]
+        b.clear()
         return batch
 
     def push_events(self, events: Sequence[tuple]) -> None:
-        """Return event tuples (from :meth:`pop_ready_batch` or a
-        :meth:`pending_snapshot`) to the queue, preserving their
-        recorded ``(when, seq)`` keys."""
-        queue = self._queue
-        for ev in events:
-            heapq.heappush(queue, ev)
-
-    def pending_snapshot(self) -> List[tuple]:
-        """The pending ``(when, seq, fn, args)`` tuples as a list (heap
-        order -- sort by ``(when, seq)`` for dispatch order).  Shares
-        the immutable event tuples, not the queue itself."""
-        return list(self._queue)
-
-    def iter_pending(self) -> Iterator[Tuple[int, int, Callable[..., Any],
-                                             tuple]]:
-        return iter(self._queue)   # heap order; keys are exact
+        """Put a non-empty batch from :meth:`pop_ready_batch` back at
+        the head of its bucket, ahead of anything scheduled for that
+        cycle since."""
+        i = events[0][0] & _MASK
+        b = self._ring[i]
+        if not b:
+            self._occ |= _BIT[i]
+        b[0:0] = [x for _when, _pos, fn, args in events for x in (fn, args)]
 
     def _pop_controlled(self) -> tuple:
-        """Pop the next event, consulting the chooser on a tie."""
+        """Pop the next event as ``(when, position, fn, args)``,
+        consulting the chooser on a tie."""
         batch = self.pop_ready_batch()
         if len(batch) == 1:
             return batch[0]
@@ -540,12 +536,14 @@ class ControlledSimulator(Simulator):
         self._running = True
         self._stopped = False
         try:
-            while self._queue and not self._stopped:
-                if until is not None and self._queue[0][0] > until:
+            while not self._stopped:
+                t = self._next_time()
+                if t is None:
+                    return
+                if until is not None and t > until:
                     self.now = until
                     return
-                when, _seq, fn, args = self._pop_controlled()
-                self.now = when
+                _when, _pos, fn, args = self._pop_controlled()
                 self._count_event()
                 fn(*args)
         finally:
@@ -556,37 +554,21 @@ class ControlledSimulator(Simulator):
         after the choice is made but before the event executes (replay
         traces print the event first, so the violating transition is
         the last line of the trace)."""
-        if self._stopped or not self._queue:
+        if self._stopped or self._next_time() is None:
             return False
-        when, _seq, fn, args = self._pop_controlled()
-        self.now = when
+        when, _pos, fn, args = self._pop_controlled()
         self._count_event()
         if on_event is not None:
             on_event(when, fn, args)
         fn(*args)
         return True
 
-    # -- snapshot / introspection --------------------------------------
+    # -- snapshot ------------------------------------------------------
 
     def snapshot(self):
-        # event tuples are immutable and shared with the snapshot
-        return (self.now, self._seq, list(self._queue),
-                self.events_processed, self._stopped,
-                list(self.choice_log))
+        return super().snapshot(), self.choice_log[:]
 
     def restore(self, snap) -> None:
-        now, seq, queue, events_processed, stopped, choice_log = snap
-        self.now = now
-        self._seq = seq
-        # the snapshot list was copied from a valid heap, so it is one
-        self._queue[:] = queue
-        self.events_processed = events_processed
-        self._stopped = stopped
+        base, choice_log = snap
+        super().restore(base)
         self.choice_log[:] = choice_log
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
-
-    def peek_time(self) -> Optional[int]:
-        return self._queue[0][0] if self._queue else None

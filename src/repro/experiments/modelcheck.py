@@ -12,9 +12,12 @@ Three modes:
   human-readable transition trace (exit 0 iff the recorded violation
   reproduces).
 
-The litmus programs are also registered as campaign workloads
-(``modelcheck-<program>``), so sweeps ride the RunSpec result cache
-like the ``check-*`` suite does.
+Each litmus program is also registered as a campaign workload,
+``modelcheck-<program>``, so that one exploration can be requested as
+a :class:`~repro.campaign.RunSpec` -- a ``/v1/run`` body names it, and
+the service resolves it through ``known_workloads()``.  Its record
+holds one stock run of the program and the explorer's counts as
+metrics.  The CLI sweep below calls :func:`explore` directly.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import json
 import os
 import sys
 import time
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.campaign import RunSpec, register_workload
 from repro.config import Protocol
@@ -68,18 +71,6 @@ def _make_workload(name: str):
 
 for _name in PROGRAMS:
     register_workload(f"modelcheck-{_name}")(_make_workload(_name))
-
-
-def modelcheck_specs() -> List[Tuple[str, RunSpec]]:
-    """Every litmus program x protocol as labelled campaign specs."""
-    labelled: List[Tuple[str, RunSpec]] = []
-    for proto in MODEL_CHECK_PROTOCOLS:
-        for name, litmus in PROGRAMS.items():
-            labelled.append((
-                f"{name} [{proto.short}]",
-                RunSpec.make(f"modelcheck-{name}",
-                             litmus.config(proto))))
-    return labelled
 
 
 # ----------------------------------------------------------------------

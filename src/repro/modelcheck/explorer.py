@@ -282,7 +282,8 @@ def explore(litmus: LitmusProgram,
                 return pick
             if visited is not None:
                 key = canonical_key(
-                    machine, sim.pending_snapshot() + batch, syms, histories)
+                    machine, batch + list(sim.iter_pending()), syms,
+                    histories)
                 if key is None:
                     unhashed += 1
                 elif key in visited:

@@ -52,7 +52,7 @@ class InvariantViolation(AssertionError):
 def _block_in_flight(machine, block: int) -> bool:
     """Any undelivered network message for ``block``?"""
     deliver = machine.net._deliver
-    for (_when, _seq, fn, args) in machine.sim.iter_pending():
+    for (_when, _pos, fn, args) in machine.sim.iter_pending():
         if fn == deliver and args and args[0].block == block:
             return True
     return False

@@ -20,14 +20,22 @@ free variables and defaults are classified by *name* through the hint
 tables below, so a closure capturing ``seq=7`` keys by sequence *rank*,
 not raw value.
 
-Sequence numbers (directory/install seqs, write ids, event seqs) only
-matter through their relative order: the emitter collects them per
-domain as it goes, and each renders as its rank within its domain.
-Every absolute time renders as a delta from the choice-point time (the
+Sequence numbers (directory/install seqs, write ids) only matter
+through their relative order: the emitter collects them per domain as
+it goes, and each renders as its rank within its domain.  Every
+absolute time renders as a delta from the choice-point time (the
 earliest pending event): event-queue times, busy-until times, and the
 integers a pending closure holds under a time-valued name (``t``,
 ``issue_done``).  Two copies of one state a uniform number of cycles
 apart thus get one key, as their successors do.
+
+Pending events render in dispatch order, each by its cycle delta and
+callback, so an event's position within its cycle is the only order
+the key records.  That is all the queue's future depends on: an event
+is only ever ordered against events of its own cycle, and a newly
+scheduled event lands behind every pending event of its cycle.  Two
+states whose pending events agree cycle by cycle, in order, therefore
+have the same futures, whatever order the cycles were filled in.
 
 Rendering substitutes every marker through a table and sorts each
 unordered container's rendered elements.  The canonical key is the
@@ -47,7 +55,6 @@ never soundness.
 from __future__ import annotations
 
 import types
-from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.memsys.cache import CacheLine
@@ -65,7 +72,7 @@ class Unencodable(Exception):
 # rank map decides; the kind indexes a render table
 # ----------------------------------------------------------------------
 
-_N, _B, _W, _A, _NS, _NL, _QD, _QW, _QE = range(9)
+_N, _B, _W, _A, _NS, _NL, _QD, _QW = range(8)
 
 # ----------------------------------------------------------------------
 # name-hint tables: integers reached through closures / event arguments
@@ -94,9 +101,6 @@ _INT_KIND: Dict[str, Optional[int]] = {
     **dict.fromkeys(("seq", "inv_seq"), _QD),
     "block": _B, "blk": _B, "word": _W, "addr": _A, "write_id": _QW,
 }
-
-_EVENT_ORDER = itemgetter(0, 1)
-
 
 # ----------------------------------------------------------------------
 # render tables
@@ -258,12 +262,11 @@ class _Emitter:
     absolute time renders relative to.  Every method appends one value
     followed by a comma, so records need no other separators."""
 
-    __slots__ = ("qd", "qw", "qe", "ambiguous", "base")
+    __slots__ = ("qd", "qw", "ambiguous", "base")
 
     def __init__(self) -> None:
         self.qd: set = set()
         self.qw: set = set()
-        self.qe: set = set()
         self.ambiguous = False
         self.base = 0
 
@@ -572,8 +575,8 @@ class _Emitter:
         net = machine.net
         if net._jitter_rng is not None:
             raise Unencodable("network jitter (RNG state not encoded)")
-        base = self.base = min((e[0] for e in pending_events),
-                               default=machine.sim.now)
+        base = self.base = (pending_events[0][0] if pending_events
+                            else machine.sim.now)
         out: list = ["MACHINE("]
         ctrls = []
         for c in machine.controllers:
@@ -592,10 +595,8 @@ class _Emitter:
             _unordered(out, [["(", (_N, i), f",{max(0, t - base)}),"]
                              for i, t in enumerate(ports)])
         out.append("),EVQ(")
-        for (t, seq, fn, args) in sorted(pending_events,
-                                         key=_EVENT_ORDER):
-            self.qe.add(seq)
-            out += (f"({t - base},", (_QE, seq), ",")
+        for (t, _pos, fn, args) in pending_events:
+            out.append(f"({t - base},")
             self.cb(out, fn)
             self.args(out, fn, args)
             out.append("),")
@@ -627,13 +628,15 @@ def canonical_key(machine, pending_events: List[tuple],
                   histories: Optional[Dict[int, list]] = None
                   ) -> Optional[str]:
     """The canonical fingerprint of a snapshot, or None when some piece
-    of state is :class:`Unencodable` (the caller skips dedup then)."""
+    of state is :class:`Unencodable` (the caller skips dedup then).
+    ``pending_events`` are ``(when, position, fn, args)`` tuples in
+    dispatch order, as :meth:`Simulator.iter_pending` yields them."""
     em = _Emitter()
     try:
         frags = em.machine(machine, pending_events, histories)
     except Unencodable:
         return None
-    seqs = (_ranks("qd", em.qd), _ranks("qw", em.qw), _ranks("qe", em.qe))
+    seqs = (_ranks("qd", em.qd), _ranks("qw", em.qw))
     best = _render(frags, _IDENTITY + seqs)
     if not em.ambiguous:
         for sym in symmetries:

@@ -33,10 +33,9 @@ simulator creates millions of them, so the path is flat:
   by the ``stats`` property (sizes are a pure function of the type, and
   the pair matrix's row/column/diagonal sums are the per-node and local
   counts);
-* under a plain :class:`~repro.engine.Simulator` the delivery event is
-  appended straight into the simulator's calendar bucket, skipping the
-  ``sim.at`` call (the model checker's :class:`ControlledSimulator`
-  keeps the public path).
+* the delivery event is appended straight into the simulator's
+  calendar bucket, skipping the ``sim.at`` call; the model checker's
+  :class:`~repro.engine.ControlledSimulator` runs on the same queue.
 """
 
 from __future__ import annotations
@@ -126,9 +125,6 @@ class Network:
         self._type_counts = [0] * len(MSG_TYPES)
         self._pair_counts = [0] * (P * P)
         self._n_contention = 0
-        #: calendar-inlined scheduling only under a plain Simulator: the
-        #: model checker's queue is the explicit heap behind the public API
-        self._plain_sim = type(sim) is Simulator
 
     def register(self, node: int, handler: Callable[[Message], None],
                  dispatch: Optional[List[
@@ -271,7 +267,7 @@ class Network:
             target = dtable[ti]
         if target is None:
             target = self._deliver
-        if self._plain_sim and deliver < sim._horizon:
+        if deliver < sim._horizon:
             # inline Simulator.at: append into the calendar bucket
             i = deliver & _MASK
             b = sim._ring[i]

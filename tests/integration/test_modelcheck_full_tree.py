@@ -10,7 +10,7 @@ closure times included, relative to the clock (``docs/modelcheck.md``).
 
 Tier-1 checks the rows whose full tree takes under a second.  CI checks
 every row whose full tree completes within ``FULL_TREE_SCHEDULES``
-schedules (``FULL_TREE_ROWS``, 28 rows, about 3½ minutes)::
+schedules (``FULL_TREE_ROWS``, 28 rows, about 2½ minutes)::
 
     PYTHONPATH=src:tests/integration python -c "
     from test_modelcheck_full_tree import FULL_TREE_ROWS, check_row

@@ -72,3 +72,16 @@ def test_step_consults_chooser():
     assert sim.step()
     assert order == ["y", "x"]
     assert not sim.step()
+
+
+def test_pushed_back_batch_fires_ahead_of_later_arrivals():
+    order: list = []
+    sim = ControlledSimulator()
+    _schedule_tie(sim, order)
+    batch = sim.pop_ready_batch()
+    assert [(when, pos, args) for when, pos, _fn, args in batch] == [
+        (5, 0, ("a",)), (5, 1, ("b",)), (5, 2, ("c",))]
+    sim.at(5, order.append, "new")
+    sim.push_events(batch)
+    sim.run()
+    assert order == ["a", "b", "c", "new", "late"]

@@ -214,7 +214,7 @@ def _reachable_states(program: str, protocol: Protocol):
 
 def _key(machine, syms, histories):
     try:
-        return canonical_key(machine, machine.sim.pending_snapshot(),
+        return canonical_key(machine, list(machine.sim.iter_pending()),
                              syms, histories)
     except Exception:  # a perturbation the encoder cannot make sense of
         return None

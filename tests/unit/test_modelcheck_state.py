@@ -34,7 +34,7 @@ def _advance(machine, histories, first_choice: int, steps: int):
 def test_key_is_deterministic():
     machine, built, histories, syms = _machine()
     machine.prepare()
-    pending = machine.sim.pending_snapshot()
+    pending = list(machine.sim.iter_pending())
     k1 = canonical_key(machine, pending, syms, histories)
     k2 = canonical_key(machine, pending, syms, histories)
     assert k1 is not None
@@ -46,7 +46,7 @@ def test_identical_runs_share_a_key():
     for _ in range(2):
         machine, built, histories, syms = _machine()
         _advance(machine, histories, first_choice=0, steps=2)
-        keys.append(canonical_key(machine, machine.sim.pending_snapshot(),
+        keys.append(canonical_key(machine, list(machine.sim.iter_pending()),
                                   syms, histories))
     assert keys[0] is not None
     assert keys[0] == keys[1]
@@ -55,10 +55,10 @@ def test_identical_runs_share_a_key():
 def test_key_tracks_machine_state():
     machine, built, histories, syms = _machine()
     machine.prepare()
-    before = canonical_key(machine, machine.sim.pending_snapshot(), syms,
+    before = canonical_key(machine, list(machine.sim.iter_pending()), syms,
                            histories)
     machine.sim.step()
-    after = canonical_key(machine, machine.sim.pending_snapshot(), syms,
+    after = canonical_key(machine, list(machine.sim.iter_pending()), syms,
                           histories)
     assert before != after
 
@@ -72,7 +72,7 @@ def test_symmetry_merges_mirror_states():
     for first in (0, 1):
         machine, built, histories, syms = _machine()
         _advance(machine, histories, first_choice=first, steps=1)
-        pending = machine.sim.pending_snapshot()
+        pending = list(machine.sim.iter_pending())
         encodings.append(canonical_key(machine, pending, (), histories))
         keys.append(canonical_key(machine, pending, syms, histories))
     assert encodings[0] != encodings[1]
@@ -84,7 +84,7 @@ def test_without_symmetry_mirror_states_stay_distinct():
     for first in (0, 1):
         machine, built, histories, syms = _machine()
         _advance(machine, histories, first_choice=first, steps=1)
-        keys.append(canonical_key(machine, machine.sim.pending_snapshot(),
+        keys.append(canonical_key(machine, list(machine.sim.iter_pending()),
                                   (), histories))
     assert keys[0] != keys[1]
 
@@ -105,7 +105,7 @@ def _key_after(name: str, protocol: Protocol, prefix: tuple):
         if pos < len(prefix):
             return prefix[pos]
         found.append((sim.now, canonical_key(
-            machine, sim.pending_snapshot() + batch, (), histories)))
+            machine, batch + list(sim.iter_pending()), (), histories)))
         raise _Stop
 
     sim.chooser = chooser
@@ -130,3 +130,29 @@ def test_time_shifted_copies_share_a_key():
     assert "_rdex_txn.<locals>.finish" in key_a
     assert "'issue_done':" in key_a and "'t':" in key_a
     assert key_a == key_b
+
+
+def test_key_merges_only_cross_cycle_scheduling_orders():
+    """Pending events key by cycle and position.  Two events for two
+    different cycles fire in the same order whichever was scheduled
+    first, so both scheduling orders give one key; two events of one
+    cycle fire in scheduling order, so the two orders keep two keys."""
+    machine, built, histories, syms = _machine()
+    machine.prepare()
+    sim = machine.sim
+    snap = machine.snapshot()
+    first = machine.processors[0]._continue_none
+    second = machine.processors[1]._continue_none
+    t = sim.now + 40
+
+    def key_after(*events):
+        machine.restore(snap)
+        for when, fn in events:
+            sim.at(when, fn)
+        return canonical_key(machine, list(sim.iter_pending()), (),
+                             histories)
+
+    assert (key_after((t, first), (t + 1, second))
+            == key_after((t + 1, second), (t, first)))
+    assert (key_after((t, first), (t, second))
+            != key_after((t, second), (t, first)))
