@@ -384,8 +384,3 @@ class Cache:
         if lru is not None:
             self._lru = [list(order) for order in lru]
         self._watchers = {b: list(cbs) for b, cbs in watchers.items()}
-
-    # ------------------------------------------------------------------
-
-    def occupancy(self) -> int:
-        return len(self.resident_blocks())

@@ -4,15 +4,13 @@ from repro.metrics.tables import (
     format_table, format_series, format_stacked, Series, StackedBars,
 )
 from repro.metrics.analysis import (
-    NodeUtilization, TrafficSummary, compare_runs, hottest_memories,
-    markdown_report, node_utilization, render_traffic_matrix, summarize,
+    TrafficSummary, compare_runs, render_traffic_matrix, summarize,
     traffic_matrix,
 )
 
 __all__ = [
     "format_table", "format_series", "format_stacked",
     "Series", "StackedBars",
-    "NodeUtilization", "TrafficSummary", "compare_runs",
-    "hottest_memories", "markdown_report", "node_utilization",
-    "render_traffic_matrix", "summarize", "traffic_matrix",
+    "TrafficSummary", "compare_runs", "render_traffic_matrix",
+    "summarize", "traffic_matrix",
 ]

@@ -1,60 +1,15 @@
-"""Post-run analysis: utilization, traffic breakdowns, comparisons.
+"""Post-run analysis: traffic breakdowns and comparisons.
 
-Everything here is computed from a finished :class:`Machine` /
-:class:`RunResult` pair -- no instrumentation overhead during the
-simulation itself.
+Everything here is computed from a finished :class:`RunResult` -- no
+instrumentation overhead during the simulation itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.metrics.tables import format_table
-
-
-@dataclass
-class NodeUtilization:
-    """Resource usage of one node over a run."""
-
-    node: int
-    #: fraction of the run the memory module was busy
-    memory_busy: float
-    #: cycles requests waited for the memory module
-    memory_wait_cycles: int
-    memory_accesses: int
-    messages_sent: int
-    messages_received: int
-    cache_blocks_resident: int
-
-
-def node_utilization(machine, result) -> List[NodeUtilization]:
-    """Per-node resource summary."""
-    total = max(1, result.total_cycles)
-    out = []
-    for ctrl in machine.controllers:
-        busy = min(ctrl.mem.busy_until, result.total_cycles)
-        # approximate busy time by completed occupancy: accesses are
-        # back-to-back FIFO, so busy_until bounds total occupancy
-        out.append(NodeUtilization(
-            node=ctrl.node,
-            memory_busy=min(1.0, busy / total if total else 0.0),
-            memory_wait_cycles=ctrl.mem.wait_cycles,
-            memory_accesses=ctrl.mem.accesses,
-            messages_sent=result.network.sent_by_node.get(ctrl.node, 0),
-            messages_received=result.network.recv_by_node.get(
-                ctrl.node, 0),
-            cache_blocks_resident=ctrl.cache.occupancy(),
-        ))
-    return out
-
-
-def hottest_memories(machine, result, top: int = 5
-                     ) -> List[Tuple[int, int]]:
-    """Nodes whose memory modules served the most accesses."""
-    counts = [(c.node, c.mem.accesses) for c in machine.controllers]
-    counts.sort(key=lambda t: -t[1])
-    return counts[:top]
 
 
 def traffic_matrix(result, num_procs: int) -> List[List[int]]:
@@ -141,26 +96,3 @@ def compare_runs(named_results: Dict[str, "RunResult"],
         ["run", "cycles", "misses", "useful", "updates", "useful",
          "msgs", "bytes"],
         rows, title=title)
-
-
-def markdown_report(named_results: Dict[str, "RunResult"],
-                    title: str = "Run comparison") -> str:
-    """A small markdown report (for notebooks / docs)."""
-    lines = [f"# {title}", ""]
-    lines.append("| run | cycles | misses (useful) | updates (useful) "
-                 "| messages | bytes |")
-    lines.append("|---|---|---|---|---|---|")
-    for name, result in named_results.items():
-        s = summarize(result)
-        lines.append(
-            f"| {name} | {s.total_cycles:,} "
-            f"| {s.misses.get('total', 0):,} "
-            f"({s.useful_miss_fraction:.0%}) "
-            f"| {s.updates.get('total', 0):,} "
-            f"({s.useful_update_fraction:.0%}) "
-            f"| {s.messages:,} | {s.bytes:,} |")
-    best = min(named_results, key=lambda k: named_results[k].total_cycles)
-    lines.append("")
-    lines.append(f"Fastest: **{best}** "
-                 f"({named_results[best].total_cycles:,} cycles).")
-    return "\n".join(lines)

@@ -90,12 +90,14 @@ _AMBIGUOUS = -1
 _TIME = -2
 
 #: variable name -> marker kind of an integer it carries, None for
-#: data, or _TIME for an absolute time (the cycle a pending closure was
-#: scheduled for or compares against); an integer under any other name
-#: (or none) is ambiguous
+#: data, _TIME for an absolute time (the cycle a pending closure was
+#: scheduled for or compares against), or _NS for a node bitmask
+#: (rendered as the node set it holds); an integer under any other
+#: name (or none) is ambiguous
 _INT_KIND: Dict[str, Optional[int]] = {
     **dict.fromkeys(_DATA_NAMES),
     **dict.fromkeys(("t", "issue_done"), _TIME),
+    **dict.fromkeys(("sharers", "src_bit"), _NS),
     **dict.fromkeys(("s", "src", "dst", "node", "writer", "requester",
                      "owner", "home", "parent"), _N),
     **dict.fromkeys(("seq", "inv_seq"), _QD),
@@ -349,6 +351,9 @@ class _Emitter:
                 return
             if kind == _TIME:
                 out.append(f"dt{value - self.base},")
+                return
+            if kind == _NS:
+                out += ((_NS, mask_nodes(value)), ",")
                 return
             if kind == _AMBIGUOUS:
                 self.ambiguous = True

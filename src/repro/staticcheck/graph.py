@@ -70,6 +70,7 @@ import ast
 import gc
 import inspect
 import textwrap
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -165,6 +166,39 @@ _CHANNELS = ((0, HOME), (1, HOME), (HOME, 0), (HOME, 1), (0, 1), (1, 0))
 _CHANNEL_INDEX = {chan: i for i, chan in enumerate(_CHANNELS)}
 
 # ---------------------------------------------------------------------
+# the interned state store
+# ---------------------------------------------------------------------
+
+#: the ``poisoned`` pairs, interned apart from every other part: a bool
+#: pair equals the int pair with the same values, and an ``acks`` pair
+#: must stay ints (a deadlock's detail prints it)
+_FLAG_PAIRS = {(a, b): (a, b) for a in (False, True) for b in (False, True)}
+
+
+def _interned(frozen: tuple, parts: dict) -> tuple:
+    """``frozen``, rebuilt from the copy ``parts`` holds of each of its
+    parts (adding the parts it does not hold yet).  Across the states
+    one ``parts`` interns, equal per-agent pairs, agent sets, message
+    tuples (channels and the home queue) and ``chans`` tuples are then
+    one object.  The result is the exact tuple, equal to ``frozen``."""
+    part = parts.setdefault
+    (cstate, copy, acks, budget, poisoned, home, owner, sharers, mem,
+     open_txn, queue, chans, early_wb) = frozen
+    known = parts.get(chans)
+    if known is None:
+        # most new states share their channels with an earlier state,
+        # so the channels are interned one by one only when they do not
+        known = tuple(map(part, chans, chans))
+        parts[known] = known
+    # ``open_txn`` needs no interning: it is a message of an interned
+    # channel or queue, or the Mirror's shared image of one
+    return (part(cstate, cstate), part(copy, copy), part(acks, acks),
+            part(budget, budget), _FLAG_PAIRS[poisoned], home, owner,
+            part(sharers, sharers), mem, open_txn, part(queue, queue),
+            known, part(early_wb, early_wb))
+
+
+# ---------------------------------------------------------------------
 # the agent mirror
 # ---------------------------------------------------------------------
 
@@ -191,26 +225,34 @@ class Mirror(dict):
     Call it on a frozen state.  As a dict it maps each message tuple
     (a channel, the home queue, or the open transaction's request as a
     1-tuple) to its mirror, filled on first use: a spec graph holds a
-    few hundred distinct ones, so an exploration builds one ``Mirror``,
-    mirrors each of them once, and its interned states share them."""
+    few hundred distinct ones, so an exploration builds one ``Mirror``
+    and mirrors each of them once.  The tuples of an image come from
+    ``parts``, the table :func:`_interned` interns keys with, so an
+    image is interned as it is built."""
+
+    def __init__(self, parts: dict) -> None:
+        super().__init__()
+        self.parts = parts
 
     def __missing__(self, msgs: Tuple[Msg, ...]) -> Tuple[Msg, ...]:
-        self[msgs] = mirrored = tuple(map(_mirror_msg, msgs))
+        mirrored = tuple(map(_mirror_msg, msgs))
+        self[msgs] = mirrored = self.parts.setdefault(mirrored, mirrored)
         return mirrored
 
     def __call__(self, frozen: tuple) -> tuple:
+        part = self.parts.setdefault
         (cstate, copy, acks, budget, poisoned, home, owner, sharers, mem,
          open_txn, queue, chans, early_wb) = frozen
-        return ((cstate[1], cstate[0]), (copy[1], copy[0]),
-                (acks[1], acks[0]), (budget[1], budget[0]),
-                (poisoned[1], poisoned[0]), home,
+        pairs = ((cstate[1], cstate[0]), (copy[1], copy[0]),
+                 (acks[1], acks[0]), (budget[1], budget[0]))
+        chans = tuple(map(self.__getitem__,
+                          map(chans.__getitem__, _MIRROR_CHANNEL)))
+        return (*map(part, pairs, pairs),
+                _FLAG_PAIRS[poisoned[1], poisoned[0]], home,
                 None if owner is None else _SWAP[owner],
                 _MIRROR_SET[sharers], mem,
                 None if open_txn is None else self[(open_txn,)][0],
-                self[queue],
-                tuple(map(self.__getitem__,
-                          map(chans.__getitem__, _MIRROR_CHANNEL))),
-                _MIRROR_SET[early_wb])
+                self[queue], part(chans, chans), _MIRROR_SET[early_wb])
 
 
 class World:
@@ -257,10 +299,10 @@ class World:
         self.early_wb = early_wb
 
     def clone(self) -> "World":
-        return World(self.cstate[:], self.copy[:], self.acks[:],
-                     self.budget[:], self.poisoned[:], self.home,
+        return World(list(self.cstate), list(self.copy), list(self.acks),
+                     list(self.budget), list(self.poisoned), self.home,
                      self.owner, self.sharers, self.mem, self.open_txn,
-                     self.queue, self.chans[:], self.early_wb)
+                     self.queue, list(self.chans), self.early_wb)
 
     def freeze(self) -> tuple:
         return (tuple(self.cstate), tuple(self.copy), tuple(self.acks),
@@ -268,6 +310,15 @@ class World:
                 self.home, self.owner, self.sharers,
                 self.mem, self.open_txn, self.queue,
                 tuple(self.chans), self.early_wb)
+
+    @staticmethod
+    def thaw(frozen: tuple) -> "World":
+        """The world :meth:`freeze` made ``frozen`` from: the frozen
+        fields are exactly the slots, so nothing is lost.  Its
+        per-agent fields and channels are the key's own tuples, so it
+        can be read and cloned but not changed in place; successors
+        are made from clones, whose fields are lists."""
+        return World(*frozen)
 
     # -- network ------------------------------------------------------
 
@@ -389,9 +440,10 @@ class _Stuck(Exception):
         self.detail = detail
 
 
-@dataclass
+@dataclass(frozen=True)
 class Step:
-    """One labelled edge of a counterexample path."""
+    """One labelled edge of a counterexample path; every state first
+    reached over the same edge shares one."""
 
     label: str
     rows: Tuple[Tuple[str, TransitionRow], ...] = ()   # (side, row)
@@ -414,6 +466,48 @@ class Step:
         return out
 
 
+class ParentLinks:
+    """``links[sid]`` is ``(parent id, Step)``: the state ``sid`` was
+    first reached from (None for the start) and over which edge.  The
+    explorer appends to ``ids`` (-1 for the start) and ``steps``: one
+    integer array and one list of shared steps, not a tuple per
+    state."""
+
+    __slots__ = ("ids", "steps")
+
+    def __init__(self) -> None:
+        self.ids = array("i")
+        self.steps: List[Step] = []
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __getitem__(self, sid: int) -> Tuple[Optional[int], Step]:
+        parent = self.ids[sid]
+        return (None if parent < 0 else parent), self.steps[sid]
+
+
+class Successors:
+    """``succs[sid]`` is the array of state ``sid``'s successor ids.  A
+    state's successors are all recorded before the next state's, so the
+    explorer appends them to one integer array, ``ids``, state after
+    state, and appends to ``starts`` where each state's begin."""
+
+    __slots__ = ("ids", "starts")
+
+    def __init__(self) -> None:
+        self.ids = array("i")
+        self.starts = array("i")
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, sid: int) -> array:
+        starts = self.starts
+        end = starts[sid + 1] if sid + 1 < len(starts) else len(self.ids)
+        return self.ids[starts[sid]:end]
+
+
 class SpecGraphExplorer:
     """BFS over the 2-agent x home product graph of one spec, one
     state per agent-mirror orbit."""
@@ -434,10 +528,10 @@ class SpecGraphExplorer:
             "cache": set(), "home": set()}
         self.visited_rows: Dict[str, Set[TransitionRow]] = {
             "cache": set(), "home": set()}
-        # states are numbered 0, 1, ... in BFS order; these lists are
-        # indexed by that id
-        self.parent: List[Tuple[Optional[int], Step]] = []
-        self.succs: List[List[int]] = []
+        # states are numbered 0, 1, ... in BFS order; these are indexed
+        # by that id
+        self.parent = ParentLinks()
+        self.succs = Successors()
         #: ids of the quiescent states, ascending
         self.quiescent: List[int] = []
         #: one per distinct ``Violation.key``, in BFS order
@@ -884,7 +978,7 @@ class SpecGraphExplorer:
                 and world.open_txn is None
                 and not world.queue
                 and not world.in_flight()
-                and world.acks == [0, 0])
+                and not any(world.acks))
 
     def _report(self, kind: str, sid: int, detail: str,
                 key: Optional[str] = None) -> None:
@@ -943,35 +1037,49 @@ class SpecGraphExplorer:
         """Number each new state in BFS order and expand it once.  The
         exact frozen tuple and its :class:`Mirror` image are both
         interned to the state's id, so a state reached after its mirror
-        is not numbered again; each world is dropped once it has been
-        expanded.  A state and its mirror sit at the same BFS depth,
-        so paths stay shortest.
+        is not numbered again.  A state and its mirror sit at the same
+        BFS depth, so paths stay shortest.
+
+        The store keeps only what is new about a state.  Both keys are
+        built from one table of parts (:func:`_interned` and the
+        :class:`Mirror` share it), so equal parts are one object across
+        all states; the frontier holds keys and a state's world is
+        thawed from its key when it is expanded; the states first
+        reached over one edge share its :class:`Step`; and parents and
+        successors are integer arrays.  The interning dicts are dropped
+        before the livelock pass.
 
         The cyclic collector is paused meanwhile: the interned states,
-        successor lists and parents live until the run returns, and the
+        successors and parents live until the run returns, and the
         collector's hundreds of passes over them per run free nothing."""
         enabled = gc.isenabled()
         gc.disable()
         try:
             self._explore()
+            self._check_livelock()
         finally:
             if enabled:
                 gc.enable()
 
     def _explore(self) -> None:
-        mirror = Mirror()
-        start = self._initial()
-        start_frozen = start.freeze()
+        parts: dict = {}
+        mirror = Mirror(parts)
+        # (label, rows) -> the Step of that edge
+        steps: Dict[tuple, Step] = {}
+        start = _interned(self._initial().freeze(), parts)
         # the start state is its own mirror
-        ids: Dict[tuple, int] = {start_frozen: 0}
-        self.parent.append((None, Step("start")))
-        # (world, frozen) of the states not yet expanded, in id order
-        pending = deque([(start, start_frozen)])
+        ids: Dict[tuple, int] = {start: 0}
+        parent_ids, parent_steps = self.parent.ids, self.parent.steps
+        parent_ids.append(-1)
+        parent_steps.append(Step("start"))
+        kids, starts = self.succs.ids, self.succs.starts
+        # the keys of the states not yet expanded, in id order
+        pending = deque([start])
         while pending:
-            world, frozen = pending.popleft()
-            sid = len(self.succs)
-            kids: List[int] = []
-            self.succs.append(kids)
+            frozen = pending.popleft()
+            world = World.thaw(frozen)
+            sid = len(starts)
+            starts.append(len(kids))
             self.visited_states["cache"].update(world.cstate)
             self.visited_states["home"].add(world.home)
             quiescent = self._is_quiescent(world)
@@ -992,26 +1100,31 @@ class SpecGraphExplorer:
                 sf = succ.freeze()
                 kid = ids.get(sf)
                 if kid is None:
-                    kid = len(self.parent)
+                    kid = len(parent_steps)
                     if kid >= self.max_states:
                         self.truncated = True
                         continue
+                    sf = _interned(sf, parts)
                     ids[sf] = ids[mirror(sf)] = kid
-                    self.parent.append((sid, Step(label, rows)))
-                    pending.append((succ, sf))
+                    step = steps.get((label, rows))
+                    if step is None:
+                        step = steps[label, rows] = Step(label, rows)
+                    parent_ids.append(sid)
+                    parent_steps.append(step)
+                    pending.append(sf)
                 kids.append(kid)
-        self._check_livelock()
 
     def _check_livelock(self) -> None:
         """Reverse reachability from the quiescent set: every explored
         state must be able to drain back to rest."""
         if self.truncated:
             return              # frontier cut: reachability is partial
-        rev: List[List[int]] = [[] for _ in self.succs]
-        for src, kids in enumerate(self.succs):
-            for kid in kids:
+        succs = self.succs
+        rev: List[List[int]] = [[] for _ in range(len(succs))]
+        for src in range(len(succs)):
+            for kid in succs[src]:
                 rev[kid].append(src)
-        can_rest = bytearray(len(self.succs))
+        can_rest = bytearray(len(succs))
         for sid in self.quiescent:
             can_rest[sid] = 1
         stack = list(self.quiescent)

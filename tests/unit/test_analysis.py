@@ -3,8 +3,7 @@
 from repro.config import MachineConfig, Protocol
 from repro.isa.ops import Compute, Fence, Read, Write
 from repro.metrics import (
-    compare_runs, hottest_memories, markdown_report, node_utilization,
-    render_traffic_matrix, summarize, traffic_matrix,
+    compare_runs, render_traffic_matrix, summarize, traffic_matrix,
 )
 from repro.runtime import Machine
 
@@ -24,38 +23,6 @@ def run_small(protocol=Protocol.PU):
 
     m.spawn_all(lambda n: prog(n))
     return m, m.run()
-
-
-class TestNodeUtilization:
-    def test_every_node_reported(self):
-        m, r = run_small()
-        util = node_utilization(m, r)
-        assert [u.node for u in util] == [0, 1, 2, 3]
-
-    def test_home_nodes_busiest(self):
-        m, r = run_small()
-        util = {u.node: u for u in node_utilization(m, r)}
-        # nodes 1 and 2 are the homes of a and b: they serve requests
-        assert util[1].memory_accesses > util[3].memory_accesses
-        assert util[2].memory_accesses > util[3].memory_accesses
-
-    def test_fractions_bounded(self):
-        m, r = run_small()
-        for u in node_utilization(m, r):
-            assert 0.0 <= u.memory_busy <= 1.0
-
-    def test_message_counts_consistent(self):
-        m, r = run_small()
-        util = node_utilization(m, r)
-        assert sum(u.messages_sent for u in util) == r.network.messages
-        assert sum(u.messages_received for u in util) == \
-            r.network.messages
-
-    def test_hottest_memories_sorted(self):
-        m, r = run_small()
-        hot = hottest_memories(m, r, top=4)
-        counts = [n for _, n in hot]
-        assert counts == sorted(counts, reverse=True)
 
 
 class TestTrafficMatrix:
@@ -92,11 +59,3 @@ class TestSummaries:
         text = compare_runs({"wi": r1, "pu": r2})
         assert "wi" in text and "pu" in text
         assert "cycles" in text
-
-    def test_markdown_report_names_fastest(self):
-        _, r1 = run_small(Protocol.WI)
-        _, r2 = run_small(Protocol.PU)
-        md = markdown_report({"wi": r1, "pu": r2})
-        fastest = "wi" if r1.total_cycles < r2.total_cycles else "pu"
-        assert f"**{fastest}**" in md
-        assert md.startswith("# ")

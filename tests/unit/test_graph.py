@@ -9,6 +9,7 @@ from __future__ import annotations
 import gc
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,10 @@ from repro.staticcheck import (
     DEFAULT_SUPPRESSIONS, SPEC_MUTATIONS, apply_spec_mutation,
     check_spec_graph, explore_spec, load_suppressions,
 )
-from repro.staticcheck.graph import SpecGraphExplorer, _RowLocator
+from repro.staticcheck.graph import (
+    SpecGraphExplorer, World, _interned, _RowLocator, _Stuck,
+)
+from tests.unit.test_graph_symmetry import unreduced_graph
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -263,3 +267,51 @@ def test_run_pauses_the_collector_and_restores_it(enabled):
         (gc.enable if was else gc.disable)()
     assert during == [False]
     assert after is enabled
+
+
+def test_a_key_thaws_into_the_world_it_was_frozen_from():
+    """The frontier holds keys only, so a world thawed from its key
+    must freeze back to that key and have the same successors, at
+    every state of the unreduced MESI graph.  The key is the interned
+    one the explorer stores, equal to the frozen tuple and of the same
+    types all the way down (a bool pair never becomes an int pair)."""
+    ex = SpecGraphExplorer(get_spec("mesi"))
+    graph = unreduced_graph(ex)
+    parts: dict = {}
+    for frozen, kids in graph.items():
+        key = _interned(frozen, parts)
+        assert repr(key) == repr(frozen)
+        world = World.thaw(key)
+        assert world.freeze() == key
+        try:
+            succs = ex._successors(world, key)
+        except _Stuck:
+            assert kids is None
+            continue
+        assert frozenset(s.freeze() for s, _, _ in succs) == kids
+
+
+def test_states_reached_over_one_edge_share_one_step():
+    ex = explore_spec(get_spec("mesi"))
+    steps = [ex.parent[sid][1] for sid in range(len(ex.parent))]
+    edges = {(step.label, step.rows) for step in steps}
+    assert len({id(step) for step in steps}) == len(edges)
+    assert len(edges) < len(steps) / 10
+
+
+#: tracemalloc peak bytes per state of the MESI exploration: 1,993
+#: with a world on the frontier and a key, a Step and a successor list
+#: per state, 572 with the interned store (Python 3.11); the ceiling
+#: sits midway
+PEAK_BYTES_PER_STATE = 1_280
+
+
+def test_the_state_store_stays_compact():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ex = explore_spec(get_spec("mesi"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(ex.parent) < PEAK_BYTES_PER_STATE

@@ -59,7 +59,7 @@ def check_mirror(spec, **params) -> Tuple[int, int]:
     unreduced graph and that the explorer (same ``params``) visits one
     state per orbit; return (unreduced states, orbits)."""
     graph = unreduced_graph(SpecGraphExplorer(spec, **params))
-    mirror = Mirror()
+    mirror = Mirror({})
     fixed = 0
     for frozen, kids in graph.items():
         image = mirror(frozen)
@@ -97,7 +97,7 @@ def test_mirror_swaps_every_agent_field():
                (Msg("INV", HOME, 0, 1, stale_epoch=True),), (),
                (Msg("OWNER_DATA", 1, 0, 0, tag="S"),)],
         early_wb=frozenset((0,)))
-    mirror = Mirror()
+    mirror = Mirror({})
     assert mirror(world.freeze()) == image.freeze()
     assert mirror(image.freeze()) == world.freeze()
 

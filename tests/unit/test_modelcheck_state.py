@@ -8,6 +8,7 @@ import pytest
 from repro.config import Protocol
 from repro.modelcheck import canonical_key, get_program
 from repro.modelcheck.explorer import _build
+from repro.modelcheck.state import _NS, _Emitter
 
 
 def _machine(name: str = "sb", protocol: Protocol = Protocol.WI):
@@ -156,3 +157,17 @@ def test_key_merges_only_cross_cycle_scheduling_orders():
             == key_after((t + 1, second), (t, first)))
     assert (key_after((t, first), (t, second))
             != key_after((t, second), (t, first)))
+
+
+@pytest.mark.parametrize("name, mask, nodes", [
+    ("sharers", 0b101, (0, 2)),     # WI's _home_sharing_wb finish
+    ("src_bit", 0b1000, (3,)),      # PU/CU's _home_recall_reply finish
+])
+def test_node_bitmasks_render_as_node_sets(name, mask, nodes):
+    """A closure's node bitmask keys as the node set it holds, which a
+    node relabelling maps, so it leaves symmetry on."""
+    em = _Emitter()
+    out: list = []
+    em.hint(out, mask, name)
+    assert not em.ambiguous
+    assert out == [(_NS, nodes), ","]
