@@ -23,7 +23,7 @@ from repro.isa import (
 from repro.classify import (
     MissClass, MissClassifier, UpdateClass, UpdateClassifier,
 )
-from repro.engine import Simulator, Tracer, DeadlockError
+from repro.engine import Simulator, DeadlockError
 
 __version__ = "1.0.0"
 
@@ -35,6 +35,6 @@ __all__ = [
     "FlushCache", "Fork", "Join", "Read", "SpinUntil", "Write",
     "fetch_and_decrement",
     "MissClass", "MissClassifier", "UpdateClass", "UpdateClassifier",
-    "Simulator", "Tracer", "DeadlockError",
+    "Simulator", "DeadlockError",
     "__version__",
 ]

@@ -4,7 +4,6 @@ from repro.engine.simulator import (
     ControlledSimulator, DeadlockError, SimulationError, Simulator,
     StuckThread,
 )
-from repro.engine.trace import Tracer, NullTracer
 
 __all__ = [
     "Simulator",
@@ -12,6 +11,4 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
     "StuckThread",
-    "Tracer",
-    "NullTracer",
 ]

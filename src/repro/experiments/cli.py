@@ -107,8 +107,8 @@ def main(argv: List[str] = None) -> int:
         from repro.experiments.modelcheck import main as mc_main
         return mc_main(argv[1:])
     if argv and argv[0] == "staticcheck":
-        # static protocol analysis: transition-table checks + AST
-        # conformance, no simulation (docs/staticcheck.md)
+        # protocol analysis: transition-table checks + the refinement
+        # check over the litmus sweep (docs/staticcheck.md)
         from repro.experiments.staticcheck import main as sc_main
         return sc_main(argv[1:])
     if argv and argv[0] == "serve":

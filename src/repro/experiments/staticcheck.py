@@ -1,22 +1,24 @@
-"""``python -m repro.experiments staticcheck``: static protocol checks.
+"""``python -m repro.experiments staticcheck``: protocol checks.
 
-Runs, without a single simulated cycle:
+Runs, for any subset of WI / PU / CU / HYBRID / MESI:
 
 * the spec analyzer (completeness / contradiction / reachability /
   ambiguity / progress / vocabulary / routing) over the declarative
   transition tables of :mod:`repro.protospec`, and
-* the AST conformance pass diffing each protocol controller's handlers
-  against its table,
+* the refinement check (:mod:`repro.staticcheck.refinement`) over every
+  schedule the model checker's litmus sweep explores: each transition
+  the handlers execute must be a row of the table.
 
-for any subset of WI / PU / CU / HYBRID / MESI.  Findings can be
-suppressed via a JSON manifest (every suppression needs a written
-reason; stale entries are themselves findings).  Exit status is 0 iff
-no unsuppressed finding remains.
+Findings can be suppressed via a JSON manifest (every suppression
+needs a written reason; stale entries are themselves findings).  Exit
+status is 0 iff no unsuppressed finding remains.
+:func:`refinement_over_figures` runs the same check over the smoke
+figure sweep's simulations.
 
-``--mutants`` validates the conformance pass the same way
+``--mutants`` validates the refinement check the same way
 ``modelcheck --mutants`` validates the explorer: each seeded protocol
-mutation is activated and the pass must flag the drift statically,
-with a file:line pointing at the mutated handler.
+mutation is activated on its witness program and the check must flag
+it, naming the handler's file:line and the row's.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ import time
 from typing import List, Optional
 
 from repro.config import Protocol
-from repro.protocols import _CTRL_CLASSES
 from repro.protospec import get_spec
 from repro.staticcheck import (
-    DEFAULT_SUPPRESSIONS, StaticCheckReport, SuppressionError,
-    analyze_spec, check_conformance, load_suppressions,
+    DEFAULT_SUPPRESSIONS, RefinementCheck, StaticCheckReport,
+    SuppressionError, analyze_spec, load_suppressions,
 )
 
 #: analysis order (and the --protocol default)
@@ -45,8 +46,9 @@ ALL_PROTOCOLS = (Protocol.WI, Protocol.PU, Protocol.CU, Protocol.HYBRID,
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-experiments staticcheck",
-        description="Statically check the protocol transition tables "
-                    "and their conformance with the handler source.")
+        description="Check the protocol transition tables, and every "
+                    "transition the handlers execute in the litmus "
+                    "sweep against them.")
     p.add_argument("--protocol", action="append", metavar="PROTO",
                    help="protocol(s) to check (default: "
                         f"{','.join(pr.value for pr in ALL_PROTOCOLS)})")
@@ -63,9 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write each checked protocol's table as "
                         "DIR/<proto>.json and exit")
     p.add_argument("--mutants", action="store_true",
-                   help="validate the conformance pass against the "
-                        "seeded protocol mutations instead of "
-                        "checking the pristine tree")
+                   help="validate the refinement check against the "
+                        "seeded protocol mutations, each run on its "
+                        "witness program, instead of checking the "
+                        "pristine tree")
     p.add_argument("--mutant", action="append", metavar="NAME",
                    help="with --mutants: restrict to these mutations")
     p.add_argument("--synth", action="store_true",
@@ -106,18 +109,61 @@ def _parse_protocols(names: Optional[List[str]],
     return out
 
 
-def run_staticcheck(protocols: List[Protocol]) -> StaticCheckReport:
-    """Analyzer + conformance over the given protocols, unsuppressed."""
+def refinement_over_litmus(protocols: List[Protocol]) -> RefinementCheck:
+    """The refinement check over every schedule the model checker's
+    litmus sweep explores under ``protocols``."""
+    from repro.modelcheck import PROGRAMS, explore
+
+    check = RefinementCheck()
+    with check.recording():
+        for program in PROGRAMS.values():
+            for proto in protocols:
+                explore(program, protocol=proto)
+    return check
+
+
+def refinement_over_figures(protocols: List[Protocol]) -> RefinementCheck:
+    """The refinement check over the simulations of the smoke figure
+    sweep (``all --scale 0.01 --sizes 2,4 --procs 4``) under
+    ``protocols``, each unique spec run once, in this process."""
+    from repro.campaign.workloads import run_workload
+    from repro.config import ExperimentScale
+    from repro.experiments.figures import FIGURES, figure_points
+
+    specs = {}
+    for fig in FIGURES:
+        for point in figure_points(fig, scale=ExperimentScale.scaled(0.01),
+                                   sizes=(2, 4), P=4):
+            if point.spec.config.protocol in protocols:
+                specs.setdefault(point.spec.key, point.spec)
+    check = RefinementCheck()
+    with check.recording():
+        for spec in specs.values():
+            run_workload(spec)
+    return check
+
+
+def run_staticcheck(protocols: List[Protocol], quiet: bool = True
+                    ) -> StaticCheckReport:
+    """Analyzer + the refinement check over the litmus sweep, for the
+    given protocols, unsuppressed."""
     report = StaticCheckReport()
     for proto in protocols:
-        spec = get_spec(proto)
-        report.extend(analyze_spec(spec))
-        report.extend(check_conformance(spec, _CTRL_CLASSES[proto]))
+        report.extend(analyze_spec(get_spec(proto)))
+    started = time.perf_counter()
+    check = refinement_over_litmus(protocols)
+    report.extend(check.findings.values())
+    if not quiet:
+        print(f"  [refinement: {sum(check.transitions.values())} "
+              f"transitions of the litmus sweep checked in "
+              f"{time.perf_counter() - started:.1f} s, "
+              f"{sum(check.ambiguous.values())} from an ambiguous "
+              f"state]", file=sys.stderr)
     return report
 
 
 def _check(args, protocols: List[Protocol]) -> int:
-    report = run_staticcheck(protocols)
+    report = run_staticcheck(protocols, quiet=args.quiet)
     graph_records = {}
     if args.graph:
         from repro.staticcheck import check_spec_graph
@@ -169,6 +215,7 @@ def _check(args, protocols: List[Protocol]) -> int:
 
 
 def _mutants(args, protocols: List[Protocol]) -> int:
+    from repro.modelcheck import explore, get_program
     from repro.modelcheck.mutations import MUTATIONS, get_mutation
 
     names = args.mutant or list(MUTATIONS)
@@ -189,20 +236,21 @@ def _mutants(args, protocols: List[Protocol]) -> int:
     results = {}
     all_ok = True
     for mut in muts:
-        with mut.activate():
-            report = run_staticcheck(protocols)
-        found = [f for f in report.findings if f.check == "conformance"]
+        check = RefinementCheck()
+        with check.recording():
+            explore(get_program(mut.program), protocol=mut.protocol,
+                    mutation=mut.name, minimize=False)
+        found = list(check.findings.values())
         results[mut.name] = [f.to_json() for f in found]
         if found:
             print(f"{mut.name:<24} DETECTED "
-                  f"({len(found)} conformance finding(s))")
+                  f"({len(found)} refinement finding(s))")
             if not args.quiet:
                 for f in found:
-                    loc = f" at {f.location()}" if f.file else ""
-                    print(f"    {f.ident}{loc}")
+                    print(f"    {f.ident}\n      {f.detail}")
         else:
-            print(f"{mut.name:<24} NOT DETECTED: the conformance pass "
-                  f"saw no drift")
+            print(f"{mut.name:<24} NOT DETECTED: every transition of "
+                  f"{mut.program} matched a row")
             all_ok = False
     if args.json:
         payload = {"mutations": results,
@@ -214,7 +262,7 @@ def _mutants(args, protocols: List[Protocol]) -> int:
             print(f"  [wrote {args.json}]", file=sys.stderr)
     if all_ok:
         print(f"staticcheck: all {len(muts)} seeded mutation(s) "
-              f"caught statically")
+              f"caught by the refinement check")
     return 0 if all_ok else 1
 
 

@@ -136,8 +136,8 @@ class Network:
         ``handler`` entirely (one scheduled callback, zero dispatch
         work at delivery time).  Types with a ``None`` slot still fall
         back to ``handler``, which owns the unhandled-message error
-        path.  Callers that need to observe every delivery (tracing,
-        model checking) simply register without a table.
+        path.  Callers that need to observe every delivery (the model
+        checker) simply register without a table.
         """
         if self._handlers[node] is not None:
             raise ValueError(f"node {node} already has a handler")

@@ -142,7 +142,6 @@ class NodeCtrl:
 
         self.miss_cls = machine.miss_classifier
         self.upd_cls = machine.update_classifier
-        self.tracer = machine.tracer
         #: coherence sanitizer, or None when checking is off (cached so
         #: the hot paths pay one attribute test per hook)
         self.san = getattr(machine, "sanitizer", None)
@@ -173,12 +172,10 @@ class NodeCtrl:
 
         self._handlers = self._build_handlers()
         # Direct dispatch: the fabric delivers straight into the handler,
-        # skipping receive()'s per-message indirection.  Disabled when
-        # the tracer wants a record of every delivery and under the
-        # model checker, whose invariants and replay traces identify
+        # skipping receive()'s per-message indirection.  Disabled under
+        # the model checker, whose invariants and replay traces identify
         # in-flight messages by the Network._deliver callback.
-        direct = (not self.tracer.enabled
-                  and not isinstance(self.sim, ControlledSimulator))
+        direct = not isinstance(self.sim, ControlledSimulator)
         self.net.register(node, self.receive,
                           self._handlers if direct else None)
 
@@ -215,9 +212,6 @@ class NodeCtrl:
                     cycle=self.sim.now, node=self.node, block=msg.block)
             raise RuntimeError(
                 f"{type(self).__name__} has no handler for {msg.mtype}")
-        if self.tracer.enabled:
-            self.tracer.record(self.sim.now, "msg", self.node,
-                               msg.mtype.value, src=msg.src, blk=msg.block)
         handler(msg)
 
     # ------------------------------------------------------------------
@@ -554,6 +548,45 @@ class NodeCtrl:
         FIFO delivery guarantee the writeback has already been processed,
         so the transaction can simply be retried."""
         self._retry_txn(msg.block)
+
+    #: the spec's transient states, which the runtime holds implicitly:
+    #: the home's busy state by open request; line state -> its
+    #: transient(s) with an atomic, with a retiring write outstanding;
+    #: with no line, those of a fill, a retiring write, an atomic
+    SPEC_STATES: tuple = ({}, {}, ((), (), ()))
+
+    def abstract_state(self, side: str, block: int,
+                       line_code: Optional[int] = None):
+        """The spec state of ``block``'s copy (``side="cache"``) or
+        directory entry (``"home"``) here, or the frozenset of the
+        candidates the runtime's fields cannot tell apart.
+        ``line_code`` stands in for an evicted line's state."""
+        busy, with_line, no_line = self._spec_states(block)
+        if side == "home":
+            txn = self._txn.get(block)
+            return (busy[txn[1].mtype] if txn is not None
+                    else self.directory.entry(block).state.value)
+        if line_code is None:
+            line = self.cache.peek(block)
+            line_code = line.state_code if line is not None else 0
+        pf, pa, head = self._pending_fill, self._pending_atomic, \
+            self.wb.head()
+        fill, write, atomic = (
+            pf is not None and pf.block == block,
+            self._retiring and head is not None and head.block == block,
+            pa is not None and pa["block"] == block)
+        if line_code:
+            with_atomic, with_write = with_line.get(line_code, (0, 0))
+            states = {with_atomic} if atomic and with_atomic else \
+                set(with_write) if write and with_write else \
+                {CACHE_STATES[line_code].value}
+        else:
+            states = set().union(*(names for names, on in zip(
+                no_line, (fill, write, atomic)) if on)) or {"I"}
+        return states.pop() if len(states) == 1 else frozenset(states)
+
+    def _spec_states(self, block: int) -> tuple:
+        return self.SPEC_STATES
 
     # ------------------------------------------------------------------
     # snapshot / restore

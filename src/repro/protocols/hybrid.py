@@ -83,6 +83,10 @@ class HybridNodeCtrl(CUNodeCtrl, WINodeCtrl):
         else:
             WINodeCtrl._evict_protocol(self, block, state, data)
 
+    def _spec_states(self, block: int) -> tuple:
+        return (PUNodeCtrl if self._updates(block)
+                else WINodeCtrl).SPEC_STATES
+
     def _drop_check(self, line: CacheLine, msg: Message) -> bool:
         # only CU-managed blocks run the competitive counter
         if self._block_protocol(msg.block) is Protocol.CU:

@@ -71,6 +71,16 @@ class PUNodeCtrl(NodeCtrl):
         MsgType.ATOMIC_REPLY: "_cache_atomic_reply",
     }
 
+    # the home holds a request open only to recall the retained copy; a
+    # retiring write beside a V copy is a write-through, or an R hit
+    # whose _retire_done a recall beat; beside none, also a fill
+    SPEC_STATES = (
+        dict.fromkeys((MsgType.READ_REQ, MsgType.UPDATE,
+                       MsgType.ATOMIC_REQ), "D_R"),
+        {STATE_VALID: ("AV_W", ("VW_A", "V")),
+         STATE_RETAINED: ("AR_W", None)},
+        (("IV_D",), ("IV_W", "IW_A", "I"), ("AI_W",)))
+
     # ==================================================================
     # cache side: write retirement (write-through with one transaction
     # in flight, which also gives per-processor write ordering)

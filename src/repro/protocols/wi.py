@@ -26,9 +26,10 @@ and is served from (now current) memory.
 
 Hot-path convention: cache/directory states are compared and assigned
 as plain int codes (``STATE_*`` / ``DIR_*``) and the sharer bitmap is
-manipulated with integer bit ops; :mod:`repro.staticcheck` extracts
-both the enum and the int-code spellings when diffing handlers against
-the declarative tables.
+manipulated with integer bit ops.  The runtime has no transient
+states; :meth:`~repro.protocols.base.NodeCtrl.abstract_state` names the
+spec's from ``SPEC_STATES``, and :mod:`repro.staticcheck.refinement`
+checks each executed transition against the table.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ class WINodeCtrl(NodeCtrl):
         MsgType.FETCH_FWD: "_cache_fetch_fwd",
         MsgType.FETCH_INV_FWD: "_cache_fetch_inv_fwd",
     }
+
+    # a retiring write beside an S copy is an upgrade, or an M hit a
+    # forward demoted before _retire_done; beside none, also an RDEX
+    SPEC_STATES = (
+        {MsgType.READ_REQ: "BUSY_R", MsgType.RDEX_REQ: "BUSY_X",
+         MsgType.UPGRADE_REQ: "BUSY_X"},
+        {STATE_SHARED: ("SM_AW", ("SM_W", "S"))},
+        (("IS_D",), ("IM_D", "I_W", "I"), ("IM_AD", "I_AW")))
 
     # ==================================================================
     # cache side: write retirement

@@ -15,9 +15,10 @@ e.g. ``"INV"``) or processor-local stimuli namespaced ``local:*``
 Guards and actions are symbolic strings drawn from a fixed vocabulary
 (:data:`ACTION_VOCABULARY`) that mirrors what the imperative handlers in
 :mod:`repro.protocols` actually do -- ``send:INV``, ``cache:=M``,
-``install``, ``ack`` and so on -- which is what lets the static
-conformance pass (:mod:`repro.staticcheck.conformance`) diff the table
-against the handler source.
+``install``, ``ack`` and so on -- which is what lets the refinement
+check (:mod:`repro.staticcheck.refinement`) match every transition the
+handlers execute to a row.  Each row also records where it was
+declared (``origin``, outside its JSON form).
 
 Pairs that can never occur are not simply left out: they are declared
 :class:`Impossible` with a written reason, so the completeness check can
@@ -32,6 +33,7 @@ for the fail-fast handler validation, so this module must not import
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -45,7 +47,7 @@ ANY_STATE = "*"
 LOCAL_PREFIX = "local:"
 
 #: the local events the specs may use, and the controller entry point
-#: each one corresponds to (used by the conformance pass)
+#: each one corresponds to (where the refinement check records it)
 LOCAL_EVENTS = {
     "local:read": "read",
     "local:store": "_retire",
@@ -122,6 +124,21 @@ class SpecError(ValueError):
     """A malformed protocol spec (unknown state/event/action...)."""
 
 
+#: ``(file, line)`` of the call that declared a row, or None
+Origin = Optional[Tuple[str, int]]
+
+#: the field every declaration keeps its origin in: out of equality,
+#: hashing and the JSON form, so it moves no spec or row digest
+ORIGIN_FIELD = dict(default=None, compare=False, repr=False)
+
+
+def call_site(depth: int = 1) -> Tuple[str, int]:
+    """``(file, line)`` of the call ``depth`` frames above the caller
+    (1: the caller's caller).  Reads the frame, not the source file."""
+    frame = sys._getframe(depth + 1)
+    return frame.f_code.co_filename, frame.f_lineno
+
+
 @dataclass(frozen=True)
 class TransitionRow:
     """One ``(state, event) -> (guard, actions, next_state)`` row.
@@ -133,7 +150,8 @@ class TransitionRow:
     progress; a cycle of retry rows must carry a ``fairness``
     justification or the progress check flags it.  ``when`` is the
     optional machine-evaluable counterpart of ``guard``, drawn from
-    :data:`WHEN_VOCABULARY`.
+    :data:`WHEN_VOCABULARY`.  ``origin`` is where the row was
+    declared (a spec builder's call; None for a row read from JSON).
     """
 
     state: str
@@ -145,6 +163,7 @@ class TransitionRow:
     fairness: Optional[str] = None
     note: Optional[str] = None
     when: Optional[str] = None
+    origin: Origin = field(**ORIGIN_FIELD)
 
     def to_json(self) -> dict:
         out: dict = {"state": self.state, "event": self.event,

@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.protospec.model import (
-    ANY_STATE, LOCAL_PREFIX, Impossible, ProtocolSpec, SideSpec,
-    SpecError, TransitionRow,
+    ANY_STATE, LOCAL_PREFIX, ORIGIN_FIELD, Impossible, Origin,
+    ProtocolSpec, SideSpec, SpecError, TransitionRow, call_site,
 )
 
 #: fairness justification attached to every synthesized NACK/retry row
@@ -74,13 +74,23 @@ def _actions(text: str) -> Tuple[str, ...]:
     return tuple(text.split())
 
 
+class _Declaration:
+    """A declaration records the call that built it as ``origin``, and
+    :func:`synthesize` stamps it on every row the declaration yields.
+    ``dataclasses.replace`` passes it through unchanged."""
+
+    def __post_init__(self) -> None:
+        if self.origin is None:
+            object.__setattr__(self, "origin", call_site(2))
+
+
 # ----------------------------------------------------------------------
 # stable-state input model -- cache side
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LocalRule:
+class LocalRule(_Declaration):
     """A local stimulus handled without opening a transaction (cache
     hits, silent or writeback evictions, silent upgrades)."""
 
@@ -89,6 +99,7 @@ class LocalRule:
     actions: str = ""               # space-separated action tokens
     next_state: Optional[str] = None
     note: Optional[str] = None
+    origin: Origin = field(**ORIGIN_FIELD)
 
 
 @dataclass(frozen=True)
@@ -104,17 +115,18 @@ class Completion:
 
 
 @dataclass(frozen=True)
-class LostCopy:
+class LostCopy(_Declaration):
     """The copy-lost continuation of a transaction whose origin state
     held a copy: a racing invalidation moves the transient to
     ``shadow``, where these completions apply instead."""
 
     shadow: str
     completions: Tuple[Completion, ...]
+    origin: Origin = field(**ORIGIN_FIELD)
 
 
 @dataclass(frozen=True)
-class CacheTxn:
+class CacheTxn(_Declaration):
     """A stimulus that opens a transaction: send ``request``, wait in
     ``transient`` for one of ``completions``."""
 
@@ -125,10 +137,11 @@ class CacheTxn:
     completions: Tuple[Completion, ...]
     lost_copy: Optional[LostCopy] = None
     note: Optional[str] = None
+    origin: Origin = field(**ORIGIN_FIELD)
 
 
 @dataclass(frozen=True)
-class Reaction:
+class Reaction(_Declaration):
     """A stable-state response to a directory message (an owner
     serving a forward)."""
 
@@ -137,11 +150,15 @@ class Reaction:
     actions: str
     next_state: str
     note: Optional[str] = None
+    origin: Origin = field(**ORIGIN_FIELD)
 
 
 @dataclass(frozen=True)
-class StableCacheSide:
-    """Everything the author says about the cache side."""
+class StableCacheSide(_Declaration):
+    """Everything the author says about the cache side.  Its origin
+    goes on the rows its states and messages imply: the invalidation
+    rows of the stable states, the ack row and the initial state's
+    forward NACKs."""
 
     initial: str
     stable: Tuple[str, ...]
@@ -164,6 +181,7 @@ class StableCacheSide:
     #: authored Impossible reasons per event, overriding the generated
     #: text for pairs the closure rules out
     defaults: Tuple[Tuple[str, str], ...] = ()
+    origin: Origin = field(**ORIGIN_FIELD)
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +190,7 @@ class StableCacheSide:
 
 
 @dataclass(frozen=True)
-class HomeServe:
+class HomeServe(_Declaration):
     """A request served immediately (no forward): the synthesizer
     wraps ``actions`` in ``begin_txn``/``end_txn``."""
 
@@ -183,6 +201,7 @@ class HomeServe:
     guard: Optional[str] = None
     when: Optional[str] = None
     note: Optional[str] = None
+    origin: Origin = field(**ORIGIN_FIELD)
 
 
 @dataclass(frozen=True)
@@ -197,9 +216,11 @@ class HomeCompletion:
 
 
 @dataclass(frozen=True)
-class HomeForward:
+class HomeForward(_Declaration):
     """A request the home serves by forwarding to the recorded owner:
-    the entry goes busy until a completion (or a NACK retry)."""
+    the entry goes busy until a completion (or a NACK retry).  The
+    first forward into a busy state introduces it: its origin goes on
+    the state's queue, completion, race and NACK rows."""
 
     state: str
     request: str
@@ -207,10 +228,11 @@ class HomeForward:
     busy: str
     completions: Tuple[HomeCompletion, ...]
     note: Optional[str] = None
+    origin: Origin = field(**ORIGIN_FIELD)
 
 
 @dataclass(frozen=True)
-class HomeRule:
+class HomeRule(_Declaration):
     """An event handled outside the transaction framework (an owner's
     WRITEBACK).  With ``race_at_busy`` the synthesizer adds the same
     handling at every busy state, processed immediately so the NACKed
@@ -224,6 +246,7 @@ class HomeRule:
     when: Optional[str] = None
     note: Optional[str] = None
     race_at_busy: bool = False
+    origin: Origin = field(**ORIGIN_FIELD)
 
 
 @dataclass(frozen=True)
@@ -304,29 +327,31 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
         rows.append(TransitionRow(
             state=lr.state, event=lr.stimulus,
             actions=_actions(lr.actions), next_state=lr.next_state,
-            note=lr.note))
+            note=lr.note, origin=lr.origin))
     for txn in side.transactions:
         rows.append(TransitionRow(
             state=txn.state, event=txn.stimulus,
             actions=(f"send:{txn.request}",),
-            next_state=txn.transient, note=txn.note))
+            next_state=txn.transient, note=txn.note, origin=txn.origin))
         for c in txn.completions:
             rows.append(TransitionRow(
                 state=txn.transient, event=c.event,
                 actions=_actions(c.actions), next_state=c.next_state,
-                guard=c.guard, when=c.when, note=c.note))
+                guard=c.guard, when=c.when, note=c.note,
+                origin=txn.origin))
         if txn.lost_copy is not None:
             for c in txn.lost_copy.completions:
                 rows.append(TransitionRow(
                     state=txn.lost_copy.shadow, event=c.event,
                     actions=_actions(c.actions),
                     next_state=c.next_state,
-                    guard=c.guard, when=c.when, note=c.note))
+                    guard=c.guard, when=c.when, note=c.note,
+                    origin=txn.lost_copy.origin))
     for rx in side.reactions:
         rows.append(TransitionRow(
             state=rx.state, event=rx.event,
             actions=_actions(rx.actions), next_state=rx.next_state,
-            note=rx.note))
+            note=rx.note, origin=rx.origin))
 
     impossible: List[Impossible] = []
 
@@ -345,14 +370,14 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
                 rows.append(TransitionRow(
                     state=s, event=inv,
                     actions=("invalidate", inv_ack_send),
-                    next_state=side.initial))
+                    next_state=side.initial, origin=side.origin))
             else:
                 rows.append(TransitionRow(
                     state=s, event=inv, actions=(inv_ack_send,),
                     next_state=s,
                     note="stale invalidation for a copy already "
                          "dropped; acked harmlessly (full-map bits "
-                         "may be stale)"))
+                         "may be stale)", origin=side.origin))
         for txn in side.transactions:
             holds = (txn.state in side.holders
                      and txn.state not in side.owners)
@@ -368,11 +393,12 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
                     next_state=txn.lost_copy.shadow,
                     note="a racing writer won; the outstanding "
                          "request will be answered after its "
-                         "transaction completes"))
+                         "transaction completes", origin=txn.origin))
                 rows.append(TransitionRow(
                     state=txn.lost_copy.shadow, event=inv,
                     actions=(inv_ack_send,),
-                    next_state=txn.lost_copy.shadow))
+                    next_state=txn.lost_copy.shadow,
+                    origin=txn.lost_copy.origin))
             else:
                 rows.append(TransitionRow(
                     state=txn.transient, event=inv,
@@ -380,11 +406,13 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
                     next_state=txn.transient,
                     note="no copy is resident; a racing invalidation "
                          "is acked and remembered against the "
-                         "pending fill's sequence number"))
+                         "pending fill's sequence number",
+                    origin=txn.origin))
         # ack collection is node-level (release consistency: the
         # writer only waits at fence points)
         rows.append(TransitionRow(
-            state=ANY_STATE, event=ack, actions=("ack",)))
+            state=ANY_STATE, event=ack, actions=("ack",),
+            origin=side.origin))
 
     # --- forward closure ----------------------------------------------
     owner_only = ("the home forwards this message only to the node it "
@@ -394,21 +422,23 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
     defaults = dict(side.defaults)
     if side.forwards:
         reacted = {(rx.state, rx.event) for rx in side.reactions}
-        nack_transients = [t.transient for t in side.transactions
-                          if t.state == side.initial]
+        nack_transients = [(t.transient, t.origin)
+                           for t in side.transactions
+                           if t.state == side.initial]
         for fwd in side.forwards:
             for owner in side.owners:
                 if (owner, fwd) not in reacted:
                     raise SpecError(
                         f"cache: owner state {owner} has no reaction "
                         f"for forward {fwd}")
-            for st in [side.initial] + nack_transients:
+            for st, origin in [(side.initial, side.origin)] \
+                    + nack_transients:
                 rows.append(TransitionRow(
                     state=st, event=fwd,
                     actions=(f"send:{side.nack}",), next_state=st,
                     guard="ownership given up; our WRITEBACK is in "
                           "flight",
-                    retry=True, fairness=FIFO_FAIRNESS))
+                    retry=True, fairness=FIFO_FAIRNESS, origin=origin))
             # A node upgrading from a holder state can be the RECORDED
             # owner before its exclusive data arrives: the old owner's
             # ownership transfer names it in the directory while the
@@ -421,17 +451,19 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
                 if not any(c.next_state in side.owners
                            for c in txn.completions):
                     continue
-                waits = [txn.transient]
+                waits = [(txn.transient, txn.origin)]
                 if txn.lost_copy is not None:
-                    waits.append(txn.lost_copy.shadow)
-                for st in waits:
+                    waits.append((txn.lost_copy.shadow,
+                                  txn.lost_copy.origin))
+                for st, origin in waits:
                     rows.append(TransitionRow(
                         state=st, event=fwd,
                         actions=(f"send:{side.nack}",),
                         next_state=st,
                         guard="recorded as owner, but our exclusive "
                               "data is still in flight",
-                        retry=True, fairness=XFER_FAIRNESS))
+                        retry=True, fairness=XFER_FAIRNESS,
+                        origin=origin))
             defaults.setdefault(fwd, owner_only)
 
     # --- event alphabet -----------------------------------------------
@@ -512,9 +544,11 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
             actions=("begin_txn",) + _actions(sv.actions)
             + ("end_txn",),
             next_state=sv.next_state, guard=sv.guard, when=sv.when,
-            note=sv.note))
+            note=sv.note, origin=sv.origin))
     comp_by_busy: Dict[str, Dict[str, HomeCompletion]] = {}
     fwd_of_comp: Dict[str, List[str]] = {}
+    #: busy state -> the origin of the forward that introduced it
+    busy_origin: Dict[str, Origin] = {}
     for f in side.forwards:
         rows.append(TransitionRow(
             state=f.state, event=f.request,
@@ -522,7 +556,8 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
             note=f.note or (
                 f"the transaction stays open until "
                 f"{'/'.join(c.event for c in f.completions)} (or a "
-                f"{side.nack} retry)")))
+                f"{side.nack} retry)"), origin=f.origin))
+        busy_origin.setdefault(f.busy, f.origin)
         per_busy = comp_by_busy.setdefault(f.busy, {})
         for c in f.completions:
             prior = per_busy.get(c.event)
@@ -544,11 +579,13 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
         if any("dir:=DIRTY" in _actions(c.actions)
                for c in comps.values())}
     for busy in busies:
+        origin = busy_origin[busy]
         for req in requests:
             rows.append(TransitionRow(
                 state=busy, event=req, actions=("begin_txn",),
                 next_state=busy,
-                note="queued on the busy directory entry"))
+                note="queued on the busy directory entry",
+                origin=origin))
         for c in comp_by_busy[busy].values():
             actions = _actions(c.actions)
             if "dir:=DIRTY" in actions:
@@ -557,7 +594,8 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
                     actions=actions + ("end_txn",),
                     next_state=c.next_state,
                     guard="the new owner still holds its copy",
-                    when="requester_not_wrote_back", note=c.note))
+                    when="requester_not_wrote_back", note=c.note,
+                    origin=origin))
                 rows.append(TransitionRow(
                     state=busy, event=c.event,
                     actions=("dir:=UNOWNED", "end_txn"),
@@ -567,20 +605,22 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
                     when="requester_wrote_back",
                     note="the early WRITEBACK made memory current; "
                          "recording the requester as owner now would "
-                         "strand the block"))
+                         "strand the block", origin=origin))
             else:
                 rows.append(TransitionRow(
                     state=busy, event=c.event,
                     actions=actions + ("end_txn",),
-                    next_state=c.next_state, note=c.note))
+                    next_state=c.next_state, note=c.note,
+                    origin=origin))
     for rule in side.rules:
         rows.append(TransitionRow(
             state=rule.state, event=rule.event,
             actions=_actions(rule.actions),
             next_state=rule.next_state, guard=rule.guard,
-            when=rule.when, note=rule.note))
+            when=rule.when, note=rule.note, origin=rule.origin))
         if rule.race_at_busy:
             for busy in busies:
+                origin = busy_origin[busy]
                 if busy in transfer_busies:
                     rows.append(TransitionRow(
                         state=busy, event=rule.event,
@@ -591,7 +631,7 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
                         note="processed immediately (never queued): "
                              "the in-flight forward will be NACKed "
                              "and its retry must observe the clean "
-                             "entry"))
+                             "entry", origin=origin))
                     rows.append(TransitionRow(
                         state=busy, event=rule.event,
                         actions=tuple(
@@ -606,7 +646,7 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
                         note="the directory does not record this "
                              "node as owner yet; remember the "
                              "writeback so the transfer resolves to "
-                             "UNOWNED"))
+                             "UNOWNED", origin=origin))
                 else:
                     rows.append(TransitionRow(
                         state=busy, event=rule.event,
@@ -615,14 +655,14 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
                         note="processed immediately (never queued): "
                              "the in-flight forward will be NACKed "
                              "and its retry must observe the clean "
-                             "entry"))
+                             "entry", origin=origin))
     for busy in busies:
         rows.append(TransitionRow(
             state=busy, event=side.nack, actions=("retry_txn",),
             next_state=side.initial, retry=True,
             fairness=FIFO_FAIRNESS,
             note="the retried request then re-runs against the clean "
-                 "entry"))
+                 "entry", origin=busy_origin[busy]))
 
     completion_events = _ordered(ev for busy in busies
                                  for ev in comp_by_busy[busy])

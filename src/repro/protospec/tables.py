@@ -31,11 +31,12 @@ construction time, so a forgotten pair is a build error here and a
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.protospec.model import (
     ANY_STATE, LOCAL_PREFIX, Impossible, ProtocolSpec, SideSpec,
-    SpecError, TransitionRow,
+    SpecError, TransitionRow, call_site,
 )
 from repro.protospec.synth import FIFO_FAIRNESS
 from repro.protospec.wi import wi_spec
@@ -50,11 +51,13 @@ def _row(state: str, event: str, actions: str = "",
          retry: bool = False, fairness: Optional[str] = None,
          note: Optional[str] = None,
          when: Optional[str] = None) -> TransitionRow:
-    """Compact row constructor; ``actions`` is space-separated."""
+    """Compact row constructor; ``actions`` is space-separated.  The
+    row's origin is the call."""
     return TransitionRow(state=state, event=event,
                          actions=tuple(actions.split()),
                          next_state=next_state, guard=guard, retry=retry,
-                         fairness=fairness, note=note, when=when)
+                         fairness=fairness, note=note, when=when,
+                         origin=call_site())
 
 
 def _side(name: str, initial: str, states: Sequence[str],
@@ -438,13 +441,8 @@ def _merge_sides(a: SideSpec, b: SideSpec) -> SideSpec:
                     f"merge of {a.name!r}: wildcard row for "
                     f"{row.event} collides; split it per state first")
             return row
-        guard = (label if row.guard is None
-                 else f"{label}; {row.guard}")
-        return TransitionRow(state=row.state, event=row.event,
-                             actions=row.actions,
-                             next_state=row.next_state, guard=guard,
-                             retry=row.retry, fairness=row.fairness,
-                             note=row.note, when=row.when)
+        return replace(row, guard=label if row.guard is None
+                       else f"{label}; {row.guard}")
 
     rows = tuple([reguard(r, _WI_GUARD) for r in a.rows]
                  + [reguard(r, _UPD_GUARD) for r in b.rows])

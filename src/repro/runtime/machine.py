@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.classify import MissClassifier, UpdateClassifier
 from repro.config import MachineConfig
-from repro.engine import DeadlockError, NullTracer, Simulator, StuckThread
+from repro.engine import DeadlockError, Simulator, StuckThread
 from repro.network import Network, NetworkStats
 from repro.runtime.memory_map import MemoryMap
 from repro.runtime.processor import Processor, ThreadProgram
@@ -85,7 +85,7 @@ class RunResult:
 class Machine:
     """A P-node DASH-like multiprocessor running one coherence protocol."""
 
-    def __init__(self, config: MachineConfig, tracer=None,
+    def __init__(self, config: MachineConfig,
                  max_events: Optional[int] = None,
                  sim: Optional[Simulator] = None) -> None:
         # local import to avoid a cycle (protocols build on runtime types)
@@ -96,7 +96,6 @@ class Machine:
         # ControlledSimulator) carries its own max_events budget
         self.sim = sim if sim is not None else Simulator(
             max_events=max_events)
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.miss_classifier = MissClassifier()
         self.update_classifier = UpdateClassifier()
         self.net = Network(self.sim, config)

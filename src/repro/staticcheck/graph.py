@@ -25,8 +25,8 @@ and checks, statically:
   interleaving are reported (dead transients rot).
 
 Every violation carries a **minimized counterexample path** (BFS finds
-shortest traces) whose steps name the rows that fired, attributed back
-to ``file:line`` in the spec builder source.
+shortest traces) whose steps name the rows that fired, each with the
+``file:line`` of the spec declaration it came from (its ``origin``).
 
 The two cache agents are interchangeable -- no table row names an
 agent, routing is by role, and ``when`` predicates compare agent ids
@@ -66,22 +66,16 @@ must catch each one with a counterexample path, which is what
 
 from __future__ import annotations
 
-import ast
 import gc
-import inspect
-import textwrap
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set,
-    Tuple,
+    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple,
 )
 
 from repro.protospec.model import (
-    ANY_STATE, LOCAL_PREFIX, Impossible, ProtocolSpec, SideSpec,
-    TransitionRow,
+    LOCAL_PREFIX, ProtocolSpec, SideSpec, TransitionRow,
 )
 from repro.staticcheck.report import Finding, source_path
 
@@ -448,7 +442,7 @@ class Step:
     label: str
     rows: Tuple[Tuple[str, TransitionRow], ...] = ()   # (side, row)
 
-    def to_json(self, locate) -> dict:
+    def to_json(self) -> dict:
         out = {"label": self.label}
         rows = []
         for side, row in self.rows:
@@ -457,9 +451,8 @@ class Step:
                      "actions": list(row.actions)}
             if row.guard:
                 entry["guard"] = row.guard
-            loc = locate(side, row)
-            if loc:
-                entry["file"], entry["line"] = loc
+            if row.origin:
+                entry["file"], entry["line"] = origin_of(row)
             rows.append(entry)
         if rows:
             out["rows"] = rows
@@ -890,8 +883,9 @@ class SpecGraphExplorer:
         return out
 
     # -- successor generation -----------------------------------------
-    # Successors come as (world, step label, step rows): ``run`` makes
-    # a Step only for a state it has not seen.
+    # Successors come as (frozen world, step label, step rows), each
+    # world frozen once: ``run`` makes a Step only for a state it has
+    # not seen.
 
     def _initial(self) -> World:
         w = initial_world(self.max_ops)
@@ -900,8 +894,8 @@ class SpecGraphExplorer:
         return w
 
     def _local_successors(self, world: World, frozen: tuple
-                          ) -> List[Tuple[World, str, tuple]]:
-        out: List[Tuple[World, str, tuple]] = []
+                          ) -> List[Tuple[tuple, str, tuple]]:
+        out: List[Tuple[tuple, str, tuple]] = []
         cache = self.spec.cache
         for agent in AGENTS:
             if world.budget[agent] <= 0:
@@ -920,16 +914,19 @@ class SpecGraphExplorer:
                     # hit exercises its row even though the self-loop
                     # successor is skipped
                     self.visited_rows["cache"].add(row)
-                    if succ.freeze() == frozen:
-                        continue        # pure hit: a no-op self-loop
                     succ.budget[agent] -= 1
-                    out.append((succ, f"agent {agent}: {event}",
+                    sf = succ.freeze()
+                    # pure hit: a no-op self-loop (only the budget
+                    # moved)
+                    if sf[:3] == frozen[:3] and sf[4:] == frozen[4:]:
+                        continue
+                    out.append((sf, f"agent {agent}: {event}",
                                 (("cache", row),)))
         return out
 
     def _delivery_successors(self, world: World
-                             ) -> List[Tuple[World, str, tuple]]:
-        out: List[Tuple[World, str, tuple]] = []
+                             ) -> List[Tuple[tuple, str, tuple]]:
+        out: List[Tuple[tuple, str, tuple]] = []
         for ci, chan in enumerate(world.chans):
             if not chan:
                 continue
@@ -948,8 +945,9 @@ class SpecGraphExplorer:
                         self.visited_rows["cache"].add(r)
                 base.push(Msg("INV_ACK", msg.dst, msg.requester,
                               msg.requester))
-                out.append((base, f"deliver {msg.label()} (stale "
-                                  f"epoch: ack-and-ignore)", ()))
+                out.append((base.freeze(), f"deliver {msg.label()} "
+                                           f"(stale epoch: "
+                                           f"ack-and-ignore)", ()))
                 continue
             if msg.dst == HOME:
                 succs = self._dispatch_home(base, msg, steps)
@@ -961,11 +959,11 @@ class SpecGraphExplorer:
                     for s in succs:
                         s.acks[msg.dst] += msg.nacks
             label, rows = f"deliver {msg.label()}", tuple(steps)
-            out.extend((s, label, rows) for s in succs)
+            out.extend((s.freeze(), label, rows) for s in succs)
         return out
 
     def _successors(self, world: World, frozen: tuple
-                    ) -> List[Tuple[World, str, tuple]]:
+                    ) -> List[Tuple[tuple, str, tuple]]:
         return (self._delivery_successors(world)
                 + self._local_successors(world, frozen))
 
@@ -1096,8 +1094,7 @@ class SpecGraphExplorer:
                 self._report("deadlock", sid, detail, key=min(
                     detail, self._deadlock_detail(mirror(frozen))))
                 continue
-            for succ, label, rows in succs:
-                sf = succ.freeze()
+            for sf, label, rows in succs:
                 kid = ids.get(sf)
                 if kid is None:
                     kid = len(parent_steps)
@@ -1154,150 +1151,12 @@ class SpecGraphExplorer:
         return steps
 
 
-# ---------------------------------------------------------------------
-# file:line attribution back to the spec builder source
-# ---------------------------------------------------------------------
-
-#: the spec builders' row-declaring calls: name -> (side, the
-#: positional index of the row's state, of its event, of a transient
-#: state the call declares).  ``_row`` (:mod:`repro.protospec.tables`)
-#: takes its side from the list it is added to (``cache_rows`` /
-#: ``home_rows``).
-_DECLARATIONS = {
-    "LocalRule": ("cache", 0, 1, None),
-    "CacheTxn": ("cache", 0, 1, 3),
-    "LostCopy": ("cache", None, None, 0),
-    "Reaction": ("cache", 0, 1, None),
-    "HomeServe": ("home", 0, 1, None),
-    "HomeForward": ("home", 0, 1, 3),
-    "HomeRule": ("home", 0, 1, None),
-    "_row": (None, 0, 1, None),
-}
-
-
-class _Decl(NamedTuple):
-    """One row-declaring call in a spec builder's source."""
-
-    side: str
-    path: str
-    line: int                   # where its positional arguments start
-    state: Optional[str]        # ANY_STATE when a variable names it
-    event: Optional[str]
-    declares: Optional[str]     # the transient state it introduces
-    when: Optional[str]
-
-
-@lru_cache(maxsize=None)
-def _declarations(fn) -> Tuple[_Decl, ...]:
-    """Every row-declaring call in ``fn``'s source, in source order.
-    Memoized per builder: ``check_spec_graph`` builds a locator per
-    call, and a builder's source does not change while it runs."""
-    lines, first = inspect.getsourcelines(fn)
-    path = source_path(inspect.getsourcefile(fn))
-    out: List[_Decl] = []
-
-    def text(call: ast.Call, i: Optional[int],
-             variable: Optional[str] = None) -> Optional[str]:
-        """Positional argument ``i`` if it is a string literal;
-        ``variable`` if it is a name."""
-        if i is None or i >= len(call.args):
-            return None
-        node = call.args[i]
-        if isinstance(node, ast.Name):
-            return variable
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        return None
-
-    def declaration(call: ast.Call, owner: str) -> _Decl:
-        side, state_i, event_i, declares_i = _DECLARATIONS[call.func.id]
-        when = next((kw.value.value for kw in call.keywords
-                     if kw.arg == "when"
-                     and isinstance(kw.value, ast.Constant)), None)
-        return _Decl(side or owner.split("_")[0], path,
-                     first - 1 + (call.args or [call])[0].lineno,
-                     # a loop variable (or ANY_STATE) matches any state
-                     text(call, state_i, variable=ANY_STATE),
-                     text(call, event_i), text(call, declares_i), when)
-
-    def visit(node: ast.AST, owner: str) -> None:
-        # ``owner``: the name the enclosing statement assigns or
-        # appends to (``cache_rows``, ``home_rows``, ...)
-        if isinstance(node, ast.Assign) \
-                and isinstance(node.targets[0], ast.Name):
-            owner = node.targets[0].id
-        elif isinstance(node, ast.AnnAssign) \
-                and isinstance(node.target, ast.Name):
-            owner = node.target.id
-        elif isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Attribute) \
-                    and isinstance(node.func.value, ast.Name):
-                owner = node.func.value.id          # rows.append(...)
-            elif isinstance(node.func, ast.Name) \
-                    and node.func.id in _DECLARATIONS:
-                out.append(declaration(node, owner))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(textwrap.dedent("".join(lines))), "")
-    return tuple(out)
-
-
-def _rank(decl: _Decl, row: TransitionRow) -> Optional[int]:
-    """How directly ``decl`` declares ``row``: 0 is its own call
-    (state, event and ``when`` equal), 4 and 5 only the row's state
-    (introduced as a transient, or as a row's source state), ``None``
-    not at all."""
-    if decl.event == row.event and decl.state in (row.state, ANY_STATE):
-        return 2 * (decl.state != row.state) + (decl.when != row.when)
-    if decl.declares == row.state:
-        return 4
-    if decl.state == row.state:
-        return 5
-    return None
-
-
-class _RowLocator:
-    """Maps a row back to the builder source line that declared it,
-    searching only the declarations of the row's own side.  A row no
-    call declares by itself (a synthesized race, NACK or completion
-    row) points at the call that introduced its transient state."""
-
-    def __init__(self, protocol: str) -> None:
-        self._decls: List[_Decl] = []
-        self._cache: Dict[tuple, Optional[Tuple[str, int]]] = {}
-        for fn in self._builders(protocol):
-            try:
-                self._decls.extend(_declarations(fn))
-            except (OSError, TypeError):     # pragma: no cover
-                continue
-
-    @staticmethod
-    def _builders(protocol: str) -> list:
-        from repro.protospec import mesi_stable, pu_spec, wi_stable
-        if protocol == "wi":
-            return [wi_stable]
-        if protocol in ("pu", "cu"):
-            return [pu_spec]
-        if protocol == "hybrid":
-            return [wi_stable, pu_spec]
-        if protocol == "mesi":
-            return [mesi_stable, wi_stable]
-        return []                            # pragma: no cover
-
-    def locate(self, side: str, row: TransitionRow
-               ) -> Optional[Tuple[str, int]]:
-        key = (side, row.state, row.event, row.when)
-        if key not in self._cache:
-            # the best-ranked declaration; the first of equals
-            best: Optional[_Decl] = None
-            best_rank = 6                   # worse than any rank
-            for decl in self._decls:
-                rank = _rank(decl, row) if decl.side == side else None
-                if rank is not None and rank < best_rank:
-                    best, best_rank = decl, rank
-            self._cache[key] = best and (best.path, best.line)
-        return self._cache[key]
+def origin_of(row: TransitionRow) -> Tuple[str, int]:
+    """The ``(file, line)`` that declared ``row``, the file relative to
+    the checkout; ``("", 0)`` for a row with no recorded origin."""
+    if row.origin is None:
+        return "", 0
+    return source_path(row.origin[0]), row.origin[1]
 
 
 # ---------------------------------------------------------------------
@@ -1365,7 +1224,6 @@ def check_spec_graph(protocol, spec: Optional[ProtocolSpec] = None,
     if spec is None:
         from repro.protospec import get_spec
         spec = get_spec(protocol)
-    locator = _RowLocator(proto)
     findings: List[Finding] = []
     runs_json: List[dict] = []
     counterexamples: List[dict] = []
@@ -1393,7 +1251,7 @@ def check_spec_graph(protocol, spec: Optional[ProtocolSpec] = None,
             n = counters[kind] = counters.get(kind, 0) + 1
             ident = f"{proto}/graph-{kind}/{n}"
             steps = ex.path_to(sid)
-            path_json = [s.to_json(locator.locate) for s in steps]
+            path_json = [s.to_json() for s in steps]
             counterexamples.append({"ident": ident, "kind": kind,
                                     "run": run["label"],
                                     "steps": path_json})
@@ -1403,9 +1261,7 @@ def check_spec_graph(protocol, spec: Optional[ProtocolSpec] = None,
                 if s.rows:
                     side, last = s.rows[-1]
                     state, event = last.state, last.event
-                    loc = locator.locate(side, last)
-                    if loc:
-                        file, line = loc
+                    file, line = origin_of(last)
                     break
             trace = " -> ".join(s.label for s in steps[1:]) or "initial"
             findings.append(Finding(
@@ -1446,15 +1302,15 @@ def check_spec_graph(protocol, spec: Optional[ProtocolSpec] = None,
             while ident in idents:          # same pair, several rows
                 ident += "+"
             idents.add(ident)
-            loc = locator.locate(side_name, row)
+            file, line = origin_of(row)
             findings.append(Finding(
                 check="spec-graph", ident=ident,
                 detail=f"{side_name} row ({row.state}, {row.event}) "
                        f"never fired in any explored interleaving "
                        f"(max_ops={max_ops})",
                 protocol=proto, side=side_name, state=row.state,
-                event=row.event, file=loc[0] if loc else "",
-                line=loc[1] if loc else 0, severity="warn"))
+                event=row.event, file=file, line=line,
+                severity="warn"))
     graph_json = {
         "protocol": proto,
         "max_ops": max_ops,

@@ -1,6 +1,6 @@
 """Findings, suppressions, and the staticcheck report.
 
-Every problem the analyzer or the conformance pass discovers is a
+Every problem the analyzer, the graph or the refinement check finds is a
 :class:`Finding` with a *stable identifier* -- a colon-joined path like
 ``completeness:wi:cache:M:READ_REPLY`` -- which is what the suppression
 manifest keys on.  A suppression must carry a written reason; matching

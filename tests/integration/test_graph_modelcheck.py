@@ -23,7 +23,9 @@ from repro.protospec import get_spec
 from repro.staticcheck import (
     SPEC_MUTATIONS, apply_spec_mutation, check_spec_graph,
 )
-from repro.staticcheck.graph import SpecGraphExplorer, _runs_for, _Stuck
+from repro.staticcheck.graph import (
+    SpecGraphExplorer, World, _runs_for, _Stuck,
+)
 from tests.unit.test_graph_golden import assert_matches_golden
 
 _SLOW = {"pu-upd-prop-overwrite", "cu-counter-stuck"}
@@ -89,11 +91,10 @@ def _can_rest(ex: SpecGraphExplorer, world) -> bool:
             succs = ex._successors(world, world.freeze())
         except _Stuck:
             continue
-        for succ, _, _ in succs:
-            sf = succ.freeze()
+        for sf, _, _ in succs:
             if sf not in seen:
                 seen.add(sf)
-                pending.append(succ)
+                pending.append(World.thaw(sf))
     return False
 
 
@@ -133,8 +134,8 @@ def assert_counterexamples_replay(proto, spec, findings, graph) -> None:
         for step in ce["steps"][1:]:
             want = [(r["side"], r["state"], r["event"],
                      tuple(r["actions"])) for r in step.get("rows", ())]
-            worlds = [succ for world in worlds
-                      for succ, label, rows in ex._successors(
+            worlds = [World.thaw(sf) for world in worlds
+                      for sf, label, rows in ex._successors(
                           world, world.freeze())
                       if label == step["label"]
                       and _step_key(rows) == want]

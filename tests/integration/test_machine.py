@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import MachineConfig, Protocol
-from repro.engine import DeadlockError, Tracer
+from repro.engine import DeadlockError
 from repro.isa.ops import Compute, Fence, Read, SpinUntil, Write, CallHook
+from repro.network.messages import MsgType
 from repro.runtime import Machine
 
 from tests.conftest import make_machine, run_programs
@@ -153,16 +154,16 @@ class TestResults:
         assert m.quiesced()
         m.check_coherence_invariants()
 
-    def test_tracer_collects_messages(self, protocol):
+    def test_a_remote_read_miss_is_one_request_and_one_reply(
+            self, protocol):
         cfg = MachineConfig(num_procs=2, protocol=protocol)
-        m = Machine(cfg, tracer=Tracer(), max_events=100_000)
+        m = Machine(cfg, max_events=100_000)
         addr = m.memmap.alloc_word(1)
 
         def prog():
             yield Read(addr)
 
         m.spawn(0, prog())
-        m.run()
-        events = m.tracer.counts()
-        assert events.get("msg:read_req", 0) == 1
-        assert events.get("msg:read_reply", 0) == 1
+        by_type = m.run().network.by_type
+        assert by_type.get(MsgType.READ_REQ, 0) == 1
+        assert by_type.get(MsgType.READ_REPLY, 0) == 1

@@ -14,13 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.protospec import ANY_STATE, TransitionRow, get_spec
+from repro.protospec import get_spec
 from repro.staticcheck import (
     DEFAULT_SUPPRESSIONS, SPEC_MUTATIONS, apply_spec_mutation,
     check_spec_graph, explore_spec, load_suppressions,
 )
 from repro.staticcheck.graph import (
-    SpecGraphExplorer, World, _interned, _RowLocator, _Stuck,
+    SpecGraphExplorer, World, _interned, _Stuck, origin_of,
 )
 from tests.unit.test_graph_symmetry import unreduced_graph
 
@@ -112,73 +112,77 @@ def test_counterexample_paths_carry_file_line_attribution(
     assert located, "no step row located back to its table source"
 
 
-#: the stable-spec calls that declare rows (or transients) of a side
+#: the calls that declare rows of a side: the stable-spec declarations
+#: (a side's own declaration implies its invalidation and ack rows) and
+#: the hand-written tables' ``_row``
 _DECLARING = {
-    "cache": {"LocalRule", "CacheTxn", "LostCopy", "Reaction"},
-    "home": {"HomeServe", "HomeForward", "HomeRule"},
+    "cache": {"LocalRule", "CacheTxn", "LostCopy", "Reaction",
+              "StableCacheSide", "_row"},
+    "home": {"HomeServe", "HomeForward", "HomeRule", "_row"},
 }
-_CALL = re.compile(r"\b([A-Z]\w*)\(")
+_CALL = re.compile(r"\b(\w+)\(")
 
 
-def _declaring_call(path: str, line: int) -> str:
-    """The constructor of the call whose arguments start on ``line``:
-    the first call named on it or, failing that, above it."""
-    lines = (ROOT / path).read_text().splitlines()[:line]
-    return next(_CALL.findall(text)[0] for text in reversed(lines)
-                if _CALL.search(text))
-
-
-def _located_rows(proto, graph):
-    """(side, state, file, line) of every row the record attributes,
-    and of every row of the spec the locator places."""
+def _attributed_rows(graph):
+    """(side, file, line) of every row the record attributes, and of
+    every row of its protocol's spec."""
     for f in graph["findings"]:
         if f.get("file"):
-            yield f["side"], f["state"], f["file"], f["line"]
+            yield f["side"], f["file"], f["line"]
     for ce in graph["counterexamples"]:
         for step in ce["steps"]:
             for row in step.get("rows", ()):
                 if row.get("file"):
-                    yield (row["side"], row["state"], row["file"],
-                           row["line"])
-    locator = _RowLocator(proto)
-    for side in get_spec(proto).sides:
+                    yield row["side"], row["file"], row["line"]
+    for side in get_spec(graph["protocol"]).sides:
         for row in side.rows:
-            loc = locator.locate(side.name, row)
-            # a synthesized wildcard row has no declaration to point at
-            assert (loc is None) == (row.state == ANY_STATE)
-            if loc:
-                yield (side.name, row.state) + loc
+            yield (side.name,) + origin_of(row)
 
 
 @pytest.mark.parametrize("fixture", ["wi_result", "mesi_result",
                                      "mutated_wi_result"])
 def test_rows_point_at_a_declaration_on_their_own_side(fixture, request):
-    """A located row's line opens a declaration of the row's own side
-    and names its state: the row's own call, or for a synthesized row
-    the call that introduced its transient."""
+    """Every row's origin line opens a call that declares rows of the
+    row's own side: its own call, or for a synthesized row the
+    declaration that introduced its state."""
     _, graph = request.getfixturevalue(fixture)
-    proto = graph["protocol"]
-    located = list(_located_rows(proto, graph))
-    assert located
-    for side, state, path, line in located:
+    attributed = list(_attributed_rows(graph))
+    assert attributed
+    for side, path, line in attributed:
         text = (ROOT / path).read_text().splitlines()[line - 1]
-        assert f'"{state}"' in text, (side, state, path, line)
-        assert _declaring_call(path, line) in _DECLARING[side], (
-            side, state, path, line)
+        assert set(_CALL.findall(text)) & _DECLARING[side], (
+            side, path, line, text)
 
 
-@pytest.mark.parametrize("side, event", [("cache", "READ_REQ"),
-                                         ("home", "WRITEBACK")])
-def test_an_undeclared_row_stays_on_its_own_side(side, event):
-    """A row no call of its side declares points at a declaration of
-    its side naming its state, even where the other side declares the
-    same (state, event) pair (a home ``HomeServe("S", "READ_REQ")``) or
-    names the state first (a cache ``LocalRule("S", ...)``)."""
-    row = TransitionRow(state="S", event=event, actions=())
-    path, line = _RowLocator("wi").locate(side, row)
-    text = (ROOT / path).read_text().splitlines()[line - 1]
-    assert '"S"' in text
-    assert _declaring_call(path, line) in _DECLARING[side]
+@pytest.mark.parametrize("proto", ["wi", "pu", "cu", "hybrid", "mesi"])
+def test_every_row_has_an_origin_in_the_spec_builders(proto):
+    """Every row of every shipped spec records where it was declared,
+    in :mod:`repro.protospec`, without the spec's JSON form (and so
+    its hash) carrying it."""
+    spec = get_spec(proto)
+    for side in spec.sides:
+        for row in side.rows:
+            path, line = origin_of(row)
+            assert path.startswith("src/repro/protospec/") and line > 0
+    assert "origin" not in spec.dumps()
+
+
+def test_a_row_origin_is_the_declaring_call_line():
+    """A multi-line declaration is attributed to the line of its call;
+    ``replace`` carries an origin through (the hybrid merge relabels
+    rows with it)."""
+    wi, hybrid = get_spec("wi"), get_spec("hybrid")
+    fill = next(r for r in wi.cache.rows
+                if (r.state, r.event) == ("IS_D", "READ_REPLY"))
+    path, line = origin_of(fill)
+    assert (ROOT / path).read_text().splitlines()[line - 1].strip() \
+        == "CacheTxn("
+    serve = next(r for r in wi.home.rows
+                 if (r.state, r.event) == ("U", "READ_REQ"))
+    merged = next(r for r in hybrid.home.rows
+                  if (r.state, r.event) == ("U", "READ_REQ"))
+    assert merged.guard == "WI-managed block" and serve.guard is None
+    assert origin_of(merged) == origin_of(serve)
 
 
 def test_counterexample_files_do_not_depend_on_the_working_directory(
@@ -288,7 +292,7 @@ def test_a_key_thaws_into_the_world_it_was_frozen_from():
         except _Stuck:
             assert kids is None
             continue
-        assert frozenset(s.freeze() for s, _, _ in succs) == kids
+        assert frozenset(sf for sf, _, _ in succs) == kids
 
 
 def test_states_reached_over_one_edge_share_one_step():

@@ -4,7 +4,7 @@
 0 and 1.  That is sound only if the swap maps the successors of every
 reachable state onto the successors of its mirror.
 :func:`check_mirror` builds the unreduced graph by a plain BFS over
-``_successors`` keyed by ``freeze()``, checks that premise at every
+``_successors`` (which come frozen), checks that premise at every
 state, and checks that the explorer visits exactly one state per
 orbit.  MESI and the ``wi-skip-invalidation`` mutant run here (about
 3 s together); the staticcheck job in ``.github/workflows/ci.yml``
@@ -44,11 +44,10 @@ def unreduced_graph(ex: SpecGraphExplorer
             graph[frozen] = None
             continue
         kids = set()
-        for succ, _, _ in succs:
-            sf = succ.freeze()
+        for sf, _, _ in succs:
             known = seen.setdefault(sf, sf)
             if known is sf:
-                pending.append((succ, sf))
+                pending.append((World.thaw(sf), sf))
             kids.add(known)
         graph[frozen] = frozenset(kids)
     return graph

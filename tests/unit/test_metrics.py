@@ -1,6 +1,5 @@
-"""Unit tests for result tables and tracing."""
+"""Unit tests for result tables and charts."""
 
-from repro.engine import NullTracer, Tracer
 from repro.metrics import Series, StackedBars, format_table
 
 
@@ -60,53 +59,3 @@ class TestStackedBars:
         out = b.render()
         assert "legend:" in out
         assert "#" in out
-
-
-class TestTracer:
-    def test_null_tracer_records_nothing(self):
-        t = NullTracer()
-        t.record(0, "msg", 0, "x")
-        assert t.records() == []
-        assert t.enabled is False
-
-    def test_tracer_records_and_filters(self):
-        t = Tracer()
-        t.record(1, "msg", 0, "read_req", blk=5)
-        t.record(2, "proc", 1, "stall")
-        assert len(t.records()) == 2
-        assert [r.event for r in t.filter(category="msg")] == ["read_req"]
-        assert list(t.filter(node=1))[0].event == "stall"
-        assert t.records()[0].get("blk") == 5
-        assert t.records()[0].get("nope", -1) == -1
-
-    def test_category_filtering_at_record_time(self):
-        t = Tracer(categories={"msg"})
-        t.record(1, "msg", 0, "a")
-        t.record(1, "proc", 0, "b")
-        assert len(t.records()) == 1
-
-    def test_limit_drops_excess(self):
-        t = Tracer(limit=2)
-        for i in range(5):
-            t.record(i, "msg", 0, "e")
-        assert len(t.records()) == 2
-        assert t.dropped == 3
-
-    def test_counts(self):
-        t = Tracer()
-        t.record(1, "msg", 0, "a")
-        t.record(2, "msg", 0, "a")
-        t.record(3, "msg", 1, "b")
-        assert t.counts() == {"msg:a": 2, "msg:b": 1}
-
-    def test_sink_invoked(self):
-        seen = []
-        t = Tracer(sink=seen.append)
-        t.record(1, "msg", 0, "a")
-        assert len(seen) == 1
-
-    def test_clear(self):
-        t = Tracer()
-        t.record(1, "msg", 0, "a")
-        t.clear()
-        assert t.records() == []

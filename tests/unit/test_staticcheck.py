@@ -1,6 +1,6 @@
-"""The static analyzer and the conformance pass, exercised on toy
-specs with one seeded defect each, on the pristine controllers, and on
-the seeded protocol mutations."""
+"""The static analyzer, exercised on toy specs with one seeded defect
+each; the refinement check on the pristine controllers and on the
+seeded protocol mutations; suppressions; and the CLI."""
 
 from __future__ import annotations
 
@@ -10,13 +10,12 @@ import pytest
 
 from repro.config import Protocol
 from repro.network.messages import MsgType
-from repro.protocols import _CTRL_CLASSES
 from repro.protospec import (
     Impossible, ProtocolSpec, SideSpec, TransitionRow, get_spec,
 )
 from repro.staticcheck import (
-    StaticCheckReport, SuppressionError, analyze_spec,
-    check_conformance, load_suppressions,
+    RefinementCheck, StaticCheckReport, SuppressionError, analyze_spec,
+    load_suppressions,
 )
 
 ALL = ("wi", "pu", "cu", "hybrid", "mesi")
@@ -170,42 +169,57 @@ def test_shipped_specs_analyze_clean(name):
 
 @pytest.mark.parametrize("name", ALL)
 def test_pristine_controllers_conform(name):
-    spec = get_spec(name)
-    cls = _CTRL_CLASSES[Protocol.parse(name)]
-    assert check_conformance(spec, cls) == []
+    """Every transition of every schedule the litmus sweep explores
+    under the protocol is a row of its table."""
+    from repro.experiments.staticcheck import refinement_over_litmus
+
+    check = refinement_over_litmus([Protocol.parse(name)])
+    assert list(check.findings) == []
+    assert sum(check.transitions.values()) > 100
+    assert any(check.hits.values())
 
 
-@pytest.mark.parametrize("mutation", [
-    "wi-drop-inv-ack", "wi-skip-invalidation",
-    "pu-upd-prop-overwrite", "cu-counter-stuck",
-])
-def test_seeded_mutations_are_detected_statically(mutation):
+def _mutant_findings(name):
+    """The refinement findings of a seeded mutant's witness program."""
+    from repro.modelcheck import explore, get_program
     from repro.modelcheck.mutations import get_mutation
 
-    mut = get_mutation(mutation)
-    spec = get_spec(mut.protocol.value)
-    cls = _CTRL_CLASSES[mut.protocol]
-    with mut.activate():
-        findings = check_conformance(spec, cls)
-    assert findings, f"{mutation} produced no conformance finding"
-    assert all(f.check == "conformance" for f in findings)
-    assert any(f.file and f.line for f in findings), (
-        "conformance findings must point at file:line")
-    # and deactivation restores conformance
-    assert check_conformance(spec, cls) == []
+    mut = get_mutation(name)
+    check = RefinementCheck()
+    with check.recording():
+        explore(get_program(mut.program), protocol=mut.protocol,
+                mutation=name, minimize=False)
+    return list(check.findings.values())
 
 
-def test_conformance_files_do_not_depend_on_the_working_directory(
+@pytest.mark.parametrize("mutation, handler, row", [
+    pytest.param(name, handler, row, id=name)
+    for name, handler, row in (
+        ("wi-drop-inv-ack", "modelcheck/mutations.py", "protospec/wi.py"),
+        ("wi-skip-invalidation", "protocols/wi.py", "protospec/wi.py"),
+        ("pu-upd-prop-overwrite", "modelcheck/mutations.py",
+         "protospec/tables.py"),
+        ("cu-counter-stuck", "protocols/update.py",
+         "protospec/tables.py"))])
+def test_seeded_mutations_are_caught_by_the_refinement_check(
+        mutation, handler, row):
+    """Each mutant's witness program yields a refinement finding that
+    names the handler's file:line and the row's; the pristine program
+    yields none."""
+    findings = _mutant_findings(mutation)
+    assert findings, f"{mutation} produced no refinement finding"
+    assert all(f.check == "refinement" for f in findings)
+    assert all(f.file == f"src/repro/{handler}" and f.line > 0
+               for f in findings), [f.location() for f in findings]
+    assert all(f"(row at src/repro/{row}:" in f.detail
+               for f in findings), [f.detail for f in findings]
+
+
+def test_refinement_files_do_not_depend_on_the_working_directory(
         monkeypatch, tmp_path):
-    from repro.modelcheck.mutations import get_mutation
-
     monkeypatch.chdir(tmp_path)
-    mut = get_mutation("wi-skip-invalidation")
-    with mut.activate():
-        findings = check_conformance(get_spec("wi"),
-                                     _CTRL_CLASSES[mut.protocol])
-    files = {f.file for f in findings if f.file}
-    assert files and all(f.startswith("src/repro/") for f in files), files
+    files = {f.file for f in _mutant_findings("wi-skip-invalidation")}
+    assert files == {"src/repro/protocols/wi.py"}
 
 
 # --- suppressions -----------------------------------------------------
