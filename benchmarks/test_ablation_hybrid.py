@@ -20,7 +20,9 @@ P = 16
 WORDS = 16
 
 
-def _run(protocol, episodes):
+def run_kernel(protocol, episodes):
+    """The A7 kernel's RunResult; under HYBRID the lock's blocks run CU
+    and every other block WI."""
     m = Machine(MachineConfig(num_procs=P, protocol=protocol),
                 max_events=50_000_000)
     stream = [m.memmap.alloc_words(i, WORDS, f"out{i}") for i in range(P)]
@@ -46,7 +48,11 @@ def _run(protocol, episodes):
             yield from bar.wait(node)
 
     m.spawn_all(prog)
-    r = m.run()
+    return m.run()
+
+
+def _run(protocol, episodes):
+    r = run_kernel(protocol, episodes)
     return [r.total_cycles / episodes, r.misses["total"],
             r.updates["total"], r.network.bytes // episodes]
 

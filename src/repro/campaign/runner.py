@@ -30,9 +30,6 @@ from repro.campaign.spec import RunSpec
 #: progress callback: (spec index, spec, its record)
 ProgressFn = Callable[[int, RunSpec, RunRecord], None]
 
-#: cancellation hook: polled between executions; True stops the campaign
-CancelFn = Callable[[], bool]
-
 
 class SpecTimeoutError(RuntimeError):
     """A spec exceeded its per-spec wall-clock timeout."""
@@ -103,16 +100,9 @@ def execute_spec(spec: RunSpec,
         sim=sim, elapsed_s=time.perf_counter() - t0)
 
 
-def cancelled_record(spec: RunSpec) -> RunRecord:
-    """The failed record a cancelled (never-executed) spec lands as."""
-    return RunRecord(
-        key=spec.key, workload=spec.workload, ok=False,
-        error="cancelled before execution", error_type="Cancelled")
-
-
 def _pool_execute(item):
-    index, spec, timeout_s = item
-    return index, execute_spec(spec, timeout_s)
+    index, spec = item
+    return index, execute_spec(spec)
 
 
 def _warm_worker() -> None:
@@ -131,7 +121,6 @@ class CampaignReport:
     executed: int = 0          # simulations actually run (unique specs)
     cached: int = 0            # spec positions served from the cache
     failed: int = 0            # spec positions whose record is not ok
-    cancelled: int = 0         # spec positions skipped by cancellation
     elapsed_s: float = 0.0
 
     @property
@@ -160,32 +149,20 @@ class CampaignRunner:
     otherwise -- workload lookup re-imports provider modules, so both
     start methods see the full registry).
 
-    ``spec_timeout_s`` bounds each spec's wall-clock time: an
-    overrunning spec becomes a failed record (``SpecTimeoutError``)
-    instead of hanging the whole sweep.  ``run(..., cancel=fn)`` polls
-    ``fn()`` between executions; once it returns True the remaining
-    unexecuted specs land as ``Cancelled`` records (never cached).
-
     The worker pool is *warm*: it is created on the first parallel
     :meth:`run` (each worker importing the workload providers once, via
     the pool initializer) and then reused by every later ``run`` call,
     so a multi-figure sweep pays the fork/spawn + import cost once
-    rather than once per figure.  A cancelled campaign terminates the
-    pool (abandoning still-running workers); the next ``run`` warms a
-    fresh one.  Call :meth:`close` (or use the runner as a context
-    manager) to release the workers explicitly.
+    rather than once per figure.  Call :meth:`close` (or use the runner
+    as a context manager) to release the workers explicitly.
     """
 
     def __init__(self, jobs: int = 1,
-                 cache: Optional[ResultCache] = None,
-                 spec_timeout_s: Optional[float] = None) -> None:
+                 cache: Optional[ResultCache] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if spec_timeout_s is not None and spec_timeout_s <= 0:
-            raise ValueError("spec_timeout_s must be positive")
         self.jobs = jobs
         self.cache = cache
-        self.spec_timeout_s = spec_timeout_s
         self._pool = None
 
     # ------------------------------------------------------------------
@@ -225,8 +202,7 @@ class CampaignRunner:
     # ------------------------------------------------------------------
 
     def run(self, specs: Sequence[RunSpec],
-            progress: Optional[ProgressFn] = None,
-            cancel: Optional[CancelFn] = None) -> CampaignReport:
+            progress: Optional[ProgressFn] = None) -> CampaignReport:
         t0 = time.perf_counter()
         report = CampaignReport(records=[None] * len(specs))
         keys = [spec.key for spec in specs]
@@ -243,7 +219,7 @@ class CampaignRunner:
             else:
                 pending.setdefault(key, []).append(i)
 
-        todo = [(indices[0], specs[indices[0]], self.spec_timeout_s)
+        todo = [(indices[0], specs[indices[0]])
                 for indices in pending.values()]
 
         def land(first_index: int, record: RunRecord) -> None:
@@ -261,37 +237,16 @@ class CampaignRunner:
             # several specs while keeping enough chunks in flight to
             # load every worker
             chunk = max(1, len(todo) // (self.jobs * 4))
-            aborted = False
             try:
                 for index, record in pool.imap_unordered(
                         _pool_execute, todo, chunksize=chunk):
                     land(index, record)
-                    if cancel is not None and cancel():
-                        aborted = True
-                        break
             except BaseException:
                 self.close()
                 raise
-            if aborted:
-                # terminate rather than drain: a cancelled campaign
-                # abandons still-running workers, and the next run()
-                # warms a fresh pool
-                self.close()
         else:
-            for index, spec, timeout_s in todo:
-                if cancel is not None and cancel():
-                    break
-                land(index, execute_spec(spec, timeout_s))
-
-        # positions never executed (cancellation) land as failed
-        # Cancelled records so the report stays fully populated
-        for i, rec in enumerate(report.records):
-            if rec is None:
-                record = cancelled_record(specs[i])
-                report.records[i] = record
-                report.cancelled += 1
-                if progress is not None:
-                    progress(i, specs[i], record)
+            for index, spec in todo:
+                land(index, execute_spec(spec))
 
         report.failed = sum(1 for rec in report.records if not rec.ok)
         report.elapsed_s = time.perf_counter() - t0

@@ -29,6 +29,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.config import Protocol
@@ -125,7 +126,8 @@ def refinement_over_litmus(protocols: List[Protocol]) -> RefinementCheck:
 def refinement_over_figures(protocols: List[Protocol]) -> RefinementCheck:
     """The refinement check over the simulations of the smoke figure
     sweep (``all --scale 0.01 --sizes 2,4 --procs 4``) under
-    ``protocols``, each unique spec run once, in this process."""
+    ``protocols``, each unique spec run once, in this process.  The
+    figures run no MESI machine, so MESI re-runs WI's specs."""
     from repro.campaign.workloads import run_workload
     from repro.config import ExperimentScale
     from repro.experiments.figures import FIGURES, figure_points
@@ -134,8 +136,14 @@ def refinement_over_figures(protocols: List[Protocol]) -> RefinementCheck:
     for fig in FIGURES:
         for point in figure_points(fig, scale=ExperimentScale.scaled(0.01),
                                    sizes=(2, 4), P=4):
-            if point.spec.config.protocol in protocols:
-                specs.setdefault(point.spec.key, point.spec)
+            spec = point.spec
+            runs = [spec] if spec.config.protocol in protocols else []
+            if spec.config.protocol is Protocol.WI \
+                    and Protocol.MESI in protocols:
+                runs.append(replace(spec, config=replace(
+                    spec.config, protocol=Protocol.MESI)))
+            for run in runs:
+                specs.setdefault(run.key, run)
     check = RefinementCheck()
     with check.recording():
         for spec in specs.values():

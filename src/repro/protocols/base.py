@@ -25,14 +25,15 @@ checks and to allow swapping in a non-FIFO fabric.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.engine import ControlledSimulator
-from repro.isa.ops import apply_atomic, merge_word
+from repro.isa.ops import merge_word
 from repro.memsys import (
     Cache, CacheState, Directory, MemoryModule, WriteBuffer,
 )
 from repro.memsys.cache import CACHE_STATES, EvictReason
+from repro.memsys.directory import DirState
 from repro.memsys.writebuffer import PendingWrite
 from repro.network.messages import MSG_TYPES, Message, MsgType
 
@@ -120,11 +121,60 @@ def compile_dispatch(cls, protocol) -> Tuple[Optional[str], ...]:
     return table
 
 
+class LineSets(NamedTuple):
+    """The line states each handler branch applies in, read from a
+    protocol's cache-side rows whose state names a line state, as
+    bitmasks over ``CACHE_STATES`` codes (``1 << code``); and whether
+    the home grants an unowned read clean-exclusive."""
+
+    read_hit: int       # (s, local:read) sends nothing
+    store_local: int    # (s, local:store) sends nothing
+    atomic_local: int   # (s, local:atomic) sends nothing
+    serves_fwd: int     # (s, FETCH_FWD) sends OWNER_DATA
+    evict_wb: int       # (s, local:evict) sends WRITEBACK
+    grants_e: bool      # (U, READ_REQ) sends EXCL_REPLY
+
+    @classmethod
+    def from_spec(cls, spec) -> "LineSets":
+        codes = {s.value: s.code for s in CACHE_STATES}
+
+        def mask(event: str, sends: str = "") -> int:
+            # the line states whose row sends ``sends`` ("": nothing)
+            return sum({1 << codes[r.state] for r in spec.cache.rows
+                        if r.event == event and r.state in codes and (
+                            f"send:{sends}" in r.actions if sends else
+                            not any(a[:5] == "send:" for a in r.actions))})
+
+        serves_fwd = mask("FETCH_FWD", "OWNER_DATA")
+        if serves_fwd != mask("FETCH_INV_FWD", "OWNER_DATA_EX"):
+            from repro.protospec import SpecError
+            raise SpecError(
+                f"{spec.protocol}: the line states that serve FETCH_FWD "
+                f"and FETCH_INV_FWD differ")
+        return cls(
+            mask("local:read"), mask("local:store"), mask("local:atomic"),
+            serves_fwd, mask("local:evict", "WRITEBACK"),
+            any(r.state == DirState.UNOWNED.value and r.event == "READ_REQ"
+                and "send:EXCL_REPLY" in r.actions for r in spec.home.rows))
+
+
+#: protocol value -> its compiled LineSets, once per process
+_LINE_SETS: Dict[str, LineSets] = {}
+
+
+def compile_line_sets(protocol) -> LineSets:
+    """The :class:`LineSets` of a protocol (a
+    :class:`~repro.config.Protocol` member or its value), compiled from
+    its declarative spec on first use."""
+    key = getattr(protocol, "value", protocol)
+    if key not in _LINE_SETS:
+        from repro.protospec import get_spec
+        _LINE_SETS[key] = LineSets.from_spec(get_spec(key))
+    return _LINE_SETS[key]
+
+
 class NodeCtrl:
     """Base class for WI / PU / CU node controllers."""
-
-    #: cache states in which a local read hits (protocol-specific)
-    READABLE_STATES: tuple = ()
 
     def __init__(self, machine, node: int) -> None:
         self.machine = machine
@@ -158,11 +208,11 @@ class NodeCtrl:
         #: after a writeback race resolves (FWD_NACK path)
         self._txn: Dict[int, Tuple[Callable[[Message], None], Message]] = {}
 
-        #: bitmask over state codes: ``1 << code`` set when a local read
-        #: hits in that state (hot-path form of READABLE_STATES)
-        self._readable_mask = 0
-        for s in self.READABLE_STATES:
-            self._readable_mask |= 1 << s.code
+        #: the line states each handler branch applies in, compiled
+        #: from the protocol's table (bitmasks over state codes)
+        (self._read_hit, self._store_local, self._atomic_local,
+         self._serves_fwd, self._evict_wb, self._grants_e) = \
+            compile_line_sets(cfg.protocol)
 
         #: address-split scalars hoisted out of the per-access path
         #: (None when the block size is not a power of two)
@@ -270,7 +320,7 @@ class NodeCtrl:
         if base is None:
             line = self.cache.lookup(block)
             if line is not None and \
-                    self._readable_mask >> line.state_code & 1:
+                    self._read_hit >> line.state_code & 1:
                 base = line.data.get(word, 0)
             elif not pending:
                 return False, None
@@ -299,7 +349,7 @@ class NodeCtrl:
         line = self.cache.lookup(block)
         if line is not None:
             line.update_count = 0
-            if (self._readable_mask >> line.state_code & 1
+            if (self._read_hit >> line.state_code & 1
                     and not self.wb.writes_to(word)):
                 value = line.data.get(word, 0)
                 if self.san is not None:
@@ -645,6 +695,3 @@ class NodeCtrl:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} node={self.node}>"
-
-
-ATOMIC_APPLY = apply_atomic

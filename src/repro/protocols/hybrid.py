@@ -34,9 +34,6 @@ from repro.protocols.wi import WINodeCtrl
 class HybridNodeCtrl(CUNodeCtrl, WINodeCtrl):
     """Node controller multiplexing WI / PU / CU per block."""
 
-    READABLE_STATES = (CacheState.SHARED, CacheState.MODIFIED,
-                       CacheState.VALID, CacheState.RETAINED)
-
     # union of both handler tables, with the colliding message types
     # routed through per-block dispatchers
     HANDLERS = {

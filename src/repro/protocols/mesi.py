@@ -1,25 +1,12 @@
 """MESI: write invalidate with a clean-exclusive state.
 
 The controller is the WI machine (:class:`repro.protocols.wi.WINodeCtrl`)
-plus the classic E-state optimization, and -- unlike PU/CU, whose
-declarative tables were transcribed *from* the imperative code -- its
-table is the synthesized spec of :mod:`repro.protospec.mesi`: WI's
-stable states plus the E deltas were authored first, the transients
-were generated by :mod:`repro.protospec.synth`, and this controller
-implements that spec (the refinement check holds its transitions to
-that table like any other protocol's).
-
-Deltas against WI:
-
-* a read miss on an **unowned** block is answered with ``EXCL_REPLY``
-  and fills to E; the home records the reader as the owner;
-* the first store or atomic to an E copy upgrades to M **silently**
-  (no upgrade transaction -- the private-data win MESI exists for);
-* an E copy serves the directory's forwards exactly like an M copy
-  (the data is clean but current);
-* an E eviction writes back like an M eviction: the directory records
-  us as owner, and a silent drop would leave a phantom owner whose
-  forwards NACK forever.
+running MESI's table, the synthesized spec of
+:mod:`repro.protospec.mesi`, whose docstring lists the E deltas.  WI's
+handlers read the line states each branch applies in, and whether an
+unowned read is granted E, from the table
+(:func:`~repro.protocols.base.compile_line_sets`), so only the one
+message the table adds is handled here: the E fill.
 
 Ordering note: the E grant and a later forward for the same block
 travel home->reader on one channel, so FIFO delivery guarantees the
@@ -30,13 +17,7 @@ already handles.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
-
-from repro.memsys.cache import (
-    STATE_EXCLUSIVE, STATE_MODIFIED, STATE_SHARED, CacheState,
-    EvictReason,
-)
-from repro.memsys.directory import DIR_DIRTY, DIR_UNOWNED
+from repro.memsys.cache import STATE_EXCLUSIVE
 from repro.network.messages import Message, MsgType
 from repro.protocols.wi import WINodeCtrl
 
@@ -44,15 +25,8 @@ from repro.protocols.wi import WINodeCtrl
 class MESINodeCtrl(WINodeCtrl):
     """Per-node controller for the MESI protocol."""
 
-    READABLE_STATES = (CacheState.SHARED, CacheState.EXCLUSIVE,
-                       CacheState.MODIFIED)
-
-    HANDLERS = dict(WINodeCtrl.HANDLERS)
-    HANDLERS[MsgType.EXCL_REPLY] = "_cache_fill_exclusive_clean"
-
-    # ==================================================================
-    # cache side
-    # ==================================================================
+    HANDLERS = {**WINodeCtrl.HANDLERS,
+                MsgType.EXCL_REPLY: "_cache_fill_exclusive_clean"}
 
     def _cache_fill_exclusive_clean(self, msg: Message) -> None:
         """EXCL_REPLY: fill the outstanding read miss clean-exclusive."""
@@ -63,101 +37,3 @@ class MESINodeCtrl(WINodeCtrl):
             # now the recorded owner -- same SWMR entry point as an
             # RDEX fill
             self.san.on_exclusive(self.node, msg.block)
-
-    def _retire(self, pw) -> None:
-        line = self.cache.lookup(pw.block)
-        if line is not None and line.state_code == STATE_EXCLUSIVE:
-            # silent E->M: the directory already records us as owner
-            line.state_code = STATE_MODIFIED
-            self._apply_store(line, pw)
-            self.sim.schedule(1, self._retire_done)
-            return
-        WINodeCtrl._retire(self, pw)
-
-    def _start_atomic(self, opname: str, block: int, word: int,
-                      operand: Any, cb: Callable[[Any], None]) -> None:
-        line = self.cache.lookup(block)
-        if line is not None and line.state_code == STATE_EXCLUSIVE:
-            # silent E->M, then the atomic runs in the cache
-            line.state_code = STATE_MODIFIED
-        WINodeCtrl._start_atomic(self, opname, block, word, operand, cb)
-
-    def _cache_fetch_fwd(self, msg: Message) -> None:
-        """Home forwarded a read to us (we own the block, E or M)."""
-        line = self.cache.lookup(msg.block)
-        if line is not None and line.state_code in (STATE_MODIFIED,
-                                                    STATE_EXCLUSIVE):
-            data = dict(line.data)
-            line.state_code = STATE_SHARED
-            self._send(MsgType.OWNER_DATA, msg.requester, msg.block,
-                       data=data, seq=msg.seq)
-            self._send(MsgType.SHARING_WB, msg.src, msg.block,
-                       data=data, requester=msg.requester)
-        else:
-            self._send(MsgType.FWD_NACK, msg.src, msg.block,
-                       requester=msg.requester)
-
-    def _cache_fetch_inv_fwd(self, msg: Message) -> None:
-        """Home forwarded a write/rdex to us; transfer ownership."""
-        line = self.cache.lookup(msg.block)
-        if line is not None and line.state_code in (STATE_MODIFIED,
-                                                    STATE_EXCLUSIVE):
-            data = dict(line.data)
-            self.miss_cls.record_leave(self.node, msg.block,
-                                       EvictReason.INVALIDATION)
-            self.upd_cls.record_block_gone(self.node, msg.block)
-            self.cache.invalidate(msg.block)
-            self._send(MsgType.OWNER_DATA_EX, msg.requester, msg.block,
-                       data=data, seq=msg.seq, nacks=0)
-            self._send(MsgType.DIRTY_TRANSFER, msg.src, msg.block,
-                       requester=msg.requester)
-        else:
-            self._send(MsgType.FWD_NACK, msg.src, msg.block,
-                       requester=msg.requester)
-
-    def _evict_protocol(self, block: int, state: CacheState,
-                        data: Dict[int, Any]) -> None:
-        if state is CacheState.MODIFIED or state is CacheState.EXCLUSIVE:
-            # an E writeback carries clean data but must still clear
-            # the directory's owner record
-            self._send(MsgType.WRITEBACK, self.home_of(block), block,
-                       data=dict(data))
-        # SHARED evictions are silent (stale full-map bits, as in WI)
-
-    # ==================================================================
-    # home side
-    # ==================================================================
-
-    def _read_txn(self, msg: Message) -> None:
-        ent = self.directory.entry(msg.block)
-        if ent.dstate == DIR_DIRTY:
-            self._send(MsgType.FETCH_FWD, ent.owner, msg.block,
-                       requester=msg.requester, seq=ent.next_seq())
-            return  # completes on SHARING_WB (or retries on FWD_NACK)
-        seq = ent.next_seq()
-        t = self.mem.reserve(self.mem.block_access_cycles())
-        if ent.dstate == DIR_UNOWNED:
-            # the MESI delta: nobody holds a copy (U implies an empty
-            # sharer mask), so grant clean-exclusive and record the
-            # reader as owner
-            def finish_excl() -> None:
-                data = self.mem.read_block(msg.block)
-                self._send(MsgType.EXCL_REPLY, msg.requester,
-                           msg.block, data=data, seq=seq)
-                ent.dstate = DIR_DIRTY
-                ent.owner = msg.requester
-                ent.sharer_mask = 0
-                self._end_txn(msg.block)
-
-            self.sim.at(t, finish_excl)
-            return
-
-        def finish() -> None:
-            data = self.mem.read_block(msg.block)
-            self._send(MsgType.READ_REPLY, msg.requester, msg.block,
-                       data=data, seq=seq)
-            # the entry is already SHARED; just add the new sharer
-            ent.sharer_mask |= 1 << msg.requester
-            self._end_txn(msg.block)
-
-        self.sim.at(t, finish)

@@ -51,8 +51,6 @@ from repro.protocols.base import NodeCtrl
 class PUNodeCtrl(NodeCtrl):
     """Per-node controller for the pure-update protocol."""
 
-    READABLE_STATES = (CacheState.VALID, CacheState.RETAINED)
-
     HANDLERS = {
         # home side
         MsgType.READ_REQ: "_home_read",
@@ -96,7 +94,7 @@ class PUNodeCtrl(NodeCtrl):
             self._send(MsgType.READ_REQ, self.home_of(pw.block), pw.block,
                        requester=self.node, write_id=pw.write_id)
             return  # resumes in _cache_read_reply with the write_id echoed
-        if line.state_code == STATE_RETAINED:
+        if self._store_local >> line.state_code & 1:
             # effectively private: keep the write local
             merged = merge_word(line.data.get(pw.word, 0), pw.value,
                                 pw.mask)
@@ -107,7 +105,11 @@ class PUNodeCtrl(NodeCtrl):
             self.miss_cls.record_write(pw.block, pw.word, self.node)
             self.sim.schedule(1, self._retire_done)
             return
-        # write-through updates our own copy immediately
+        self._write_through(line, pw)
+
+    def _write_through(self, line: CacheLine, pw) -> None:
+        """Apply the head store to our own copy at once and send it to
+        the home; the write completes on WRITER_ACK."""
         merged = merge_word(line.data.get(pw.word, 0), pw.value, pw.mask)
         if self.san is not None:
             self.san.record_value(pw.word, merged)
@@ -115,7 +117,6 @@ class PUNodeCtrl(NodeCtrl):
         self._send(MsgType.UPDATE, self.home_of(pw.block), pw.block,
                    word=pw.word, value=pw.value, mask=pw.mask,
                    write_id=pw.write_id)
-        # completes on WRITER_ACK
 
     def _cache_writer_ack(self, msg: Message) -> None:
         head = self.wb.head()
@@ -200,15 +201,7 @@ class PUNodeCtrl(NodeCtrl):
             if evicted is not None:
                 self._evict(evicted.block, evicted.state, evicted.data,
                             EvictReason.REPLACEMENT)
-            line = self.cache.lookup(pw.block)
-            merged = merge_word(line.data.get(pw.word, 0), pw.value,
-                                pw.mask)
-            if self.san is not None:
-                self.san.record_value(pw.word, merged)
-            self.cache.write_word(pw.block, pw.word, merged)
-            self._send(MsgType.UPDATE, self.home_of(pw.block), pw.block,
-                       word=pw.word, value=pw.value, mask=pw.mask,
-                       write_id=pw.write_id)
+            self._write_through(self.cache.lookup(pw.block), pw)
             return
         self._complete_fill(msg, STATE_VALID)
 
@@ -263,7 +256,7 @@ class PUNodeCtrl(NodeCtrl):
 
     def _evict_protocol(self, block: int, state: CacheState,
                         data: Dict[int, Any]) -> None:
-        if state is CacheState.RETAINED:
+        if self._evict_wb >> state.code & 1:
             self._send(MsgType.WRITEBACK, self.home_of(block), block,
                        data=dict(data))
         else:

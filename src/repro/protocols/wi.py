@@ -26,7 +26,12 @@ and is served from (now current) memory.
 
 Hot-path convention: cache/directory states are compared and assigned
 as plain int codes (``STATE_*`` / ``DIR_*``) and the sharer bitmap is
-manipulated with integer bit ops.  The runtime has no transient
+manipulated with integer bit ops.  The line states a branch applies in
+(a read hit, a local store or atomic, serving a forward, writing back
+on eviction) and whether an unowned read is granted clean-exclusive
+are compiled from the protocol's table
+(:func:`~repro.protocols.base.compile_line_sets`), so the same handlers
+run MESI (:mod:`repro.protocols.mesi`).  The runtime has no transient
 states; :meth:`~repro.protocols.base.NodeCtrl.abstract_state` names the
 spec's from ``SPEC_STATES``, and :mod:`repro.staticcheck.refinement`
 checks each executed transition against the table.
@@ -49,8 +54,6 @@ from repro.protocols.base import NodeCtrl
 
 class WINodeCtrl(NodeCtrl):
     """Per-node controller for the write-invalidate protocol."""
-
-    READABLE_STATES = (CacheState.SHARED, CacheState.MODIFIED)
 
     HANDLERS = {
         # home side
@@ -95,58 +98,65 @@ class WINodeCtrl(NodeCtrl):
 
     def _retire(self, pw) -> None:
         line = self.cache.lookup(pw.block)
-        if line is not None and line.state_code == STATE_MODIFIED:
-            # exclusive: write locally, no traffic
+        if line is not None and self._store_local >> line.state_code & 1:
+            # exclusive: write locally, no traffic (a clean-exclusive
+            # copy goes dirty silently: the directory records us as
+            # owner already)
+            line.state_code = STATE_MODIFIED
             self._apply_store(line, pw)
             self.sim.schedule(1, self._retire_done)
-        elif line is not None and line.state_code == STATE_SHARED:
-            # the paper's "exclusive request" transaction
-            self.miss_cls.record_upgrade(self.node, pw.block)
-            self._send(MsgType.UPGRADE_REQ, self.home_of(pw.block),
-                       pw.block, requester=self.node, word=pw.word)
         else:
-            # write miss
-            self.miss_cls.record_miss(self.node, pw.block, pw.word)
-            self._send(MsgType.RDEX_REQ, self.home_of(pw.block),
-                       pw.block, requester=self.node, word=pw.word)
+            self._request_exclusive(line, pw.block, pw.word)
+
+    def _request_exclusive(self, line, block: int, word: int) -> None:
+        """Ask the home for an exclusive copy: beside an S copy the
+        paper's "exclusive request" transaction, else a write miss."""
+        if line is not None and line.state_code == STATE_SHARED:
+            self.miss_cls.record_upgrade(self.node, block)
+            mtype = MsgType.UPGRADE_REQ
+        else:
+            self.miss_cls.record_miss(self.node, block, word)
+            mtype = MsgType.RDEX_REQ
+        self._send(mtype, self.home_of(block), block, requester=self.node,
+                   word=word)
 
     def _cache_upgrade_reply(self, msg: Message) -> None:
-        if self._pending_atomic is not None and \
-                self._pending_atomic["block"] == msg.block:
-            self._finish_atomic(msg, needs_install=False)
-            return
-        pw = self.wb.head()
         line = self.cache.lookup(msg.block)
         if line is None:
             # conflict-evicted while the upgrade was in flight: the home
             # granted ownership, so fetch the data with a fresh RDEX
+            pa = self._pending_atomic
+            word = pa["word"] if pa is not None and \
+                pa["block"] == msg.block else self.wb.head().word
             self._send(MsgType.RDEX_REQ, self.home_of(msg.block),
-                       msg.block, requester=self.node, word=pw.word)
+                       msg.block, requester=self.node, word=word)
             return
         line.state_code = STATE_MODIFIED
         line.seq = msg.seq
-        if self.san is not None:
-            self.san.on_exclusive(self.node, msg.block)
-        self._apply_store(line, pw)
-        self.outstanding_acks += msg.nacks
-        self._retire_done()
+        self._exclusive_granted(msg, line)
 
     def _cache_fill_exclusive(self, msg: Message) -> None:
-        if self._pending_atomic is not None and \
-                self._pending_atomic["block"] == msg.block:
-            self._finish_atomic(msg, needs_install=True)
-            return
-        pw = self.wb.head()
         evicted = self.cache.install(msg.block, STATE_MODIFIED,
                                      msg.data or {}, msg.seq)
         if evicted is not None:
             self._evict(evicted.block, evicted.state, evicted.data,
                         EvictReason.REPLACEMENT)
+        self._exclusive_granted(msg, self.cache.lookup(msg.block))
+
+    def _exclusive_granted(self, msg: Message, line) -> None:
+        """Our copy is M now: run the pending atomic on it, or retire
+        the head store into it."""
         if self.san is not None:
             self.san.on_exclusive(self.node, msg.block)
-        self._apply_store(self.cache.lookup(msg.block), pw)
         self.outstanding_acks += msg.nacks
-        self._retire_done()
+        pa = self._pending_atomic
+        if pa is not None and pa["block"] == msg.block:
+            self._pending_atomic = None
+            self._run_atomic(line, pa["word"], pa["opname"],
+                             pa["operand"], pa["cb"])
+        else:
+            self._apply_store(line, self.wb.head())
+            self._retire_done()
 
     # ==================================================================
     # cache side: read fills
@@ -163,57 +173,26 @@ class WINodeCtrl(NodeCtrl):
                       operand: Any, cb: Callable[[Any], None]) -> None:
         self._ref(block, word)
         line = self.cache.lookup(block)
-        if line is not None and line.state_code == STATE_MODIFIED:
-            old = line.data.get(word, 0)
-            new, result = apply_atomic(opname, old, operand)
-            if self.san is not None:
-                self.san.record_value(word, new)
-            self.cache.write_word(block, word, new)
-            self.miss_cls.record_write(block, word, self.node)
-            self.sim.schedule(1, cb, result)
+        if line is not None and self._atomic_local >> line.state_code & 1:
+            line.state_code = STATE_MODIFIED     # silent E->M, as above
+            self._run_atomic(line, word, opname, operand, cb)
             return
         self._pending_atomic = {
             "opname": opname, "block": block, "word": word,
             "operand": operand, "cb": cb,
         }
-        if line is not None and line.state_code == STATE_SHARED:
-            self.miss_cls.record_upgrade(self.node, block)
-            self._send(MsgType.UPGRADE_REQ, self.home_of(block), block,
-                       requester=self.node, word=word)
-        else:
-            self.miss_cls.record_miss(self.node, block, word)
-            self._send(MsgType.RDEX_REQ, self.home_of(block), block,
-                       requester=self.node, word=word)
+        self._request_exclusive(line, block, word)
 
-    def _finish_atomic(self, msg: Message, needs_install: bool) -> None:
-        pa = self._pending_atomic
-        if needs_install:
-            evicted = self.cache.install(msg.block, STATE_MODIFIED,
-                                         msg.data or {}, msg.seq)
-            if evicted is not None:
-                self._evict(evicted.block, evicted.state, evicted.data,
-                            EvictReason.REPLACEMENT)
-        else:
-            line = self.cache.lookup(msg.block)
-            if line is None:
-                # evicted while the upgrade was in flight: refetch
-                self._send(MsgType.RDEX_REQ, self.home_of(msg.block),
-                           msg.block, requester=self.node,
-                           word=pa["word"])
-                return
-            line.state_code = STATE_MODIFIED
-            line.seq = msg.seq
-        self._pending_atomic = None
+    def _run_atomic(self, line, word: int, opname: str, operand: Any,
+                    cb: Callable[[Any], None]) -> None:
+        """Execute an atomic on our exclusive copy ``line`` and resume
+        the processor with its result."""
+        new, result = apply_atomic(opname, line.data.get(word, 0), operand)
         if self.san is not None:
-            self.san.on_exclusive(self.node, msg.block)
-        old = self.cache.read_word(msg.block, pa["word"])
-        new, result = apply_atomic(pa["opname"], old, pa["operand"])
-        if self.san is not None:
-            self.san.record_value(pa["word"], new)
-        self.cache.write_word(msg.block, pa["word"], new)
-        self.miss_cls.record_write(msg.block, pa["word"], self.node)
-        self.outstanding_acks += msg.nacks
-        self.sim.schedule(1, pa["cb"], result)
+            self.san.record_value(word, new)
+        self.cache.write_word(line.block, word, new)
+        self.miss_cls.record_write(line.block, word, self.node)
+        self.sim.schedule(1, cb, result)
 
     # ==================================================================
     # cache side: incoming coherence
@@ -245,9 +224,9 @@ class WINodeCtrl(NodeCtrl):
         self._ack_collected()
 
     def _cache_fetch_fwd(self, msg: Message) -> None:
-        """Home forwarded a read to us (we own the block dirty)."""
+        """Home forwarded a read to us (we own the block)."""
         line = self.cache.lookup(msg.block)
-        if line is not None and line.state_code == STATE_MODIFIED:
+        if line is not None and self._serves_fwd >> line.state_code & 1:
             data = dict(line.data)
             line.state_code = STATE_SHARED
             self._send(MsgType.OWNER_DATA, msg.requester, msg.block,
@@ -261,7 +240,7 @@ class WINodeCtrl(NodeCtrl):
     def _cache_fetch_inv_fwd(self, msg: Message) -> None:
         """Home forwarded a write/rdex to us; transfer ownership."""
         line = self.cache.lookup(msg.block)
-        if line is not None and line.state_code == STATE_MODIFIED:
+        if line is not None and self._serves_fwd >> line.state_code & 1:
             data = dict(line.data)
             self.miss_cls.record_leave(self.node, msg.block,
                                        EvictReason.INVALIDATION)
@@ -281,7 +260,9 @@ class WINodeCtrl(NodeCtrl):
 
     def _evict_protocol(self, block: int, state: CacheState,
                         data: Dict[int, Any]) -> None:
-        if state is CacheState.MODIFIED:
+        if self._evict_wb >> state.code & 1:
+            # a clean-exclusive copy writes back too: its data is clean,
+            # but the write clears the directory's owner record
             self._send(MsgType.WRITEBACK, self.home_of(block), block,
                        data=dict(data))
         # SHARED evictions are silent (DASH full-map keeps stale bits)
@@ -301,6 +282,21 @@ class WINodeCtrl(NodeCtrl):
             return  # completes on SHARING_WB (or retries on FWD_NACK)
         seq = ent.next_seq()
         t = self.mem.reserve(self.mem.block_access_cycles())
+        if ent.dstate == DIR_UNOWNED and self._grants_e:
+            # MESI: nobody holds a copy (U implies an empty sharer
+            # mask), so grant clean-exclusive and record the reader as
+            # owner
+            def finish_excl() -> None:
+                data = self.mem.read_block(msg.block)
+                self._send(MsgType.EXCL_REPLY, msg.requester,
+                           msg.block, data=data, seq=seq)
+                ent.dstate = DIR_DIRTY
+                ent.owner = msg.requester
+                ent.sharer_mask = 0
+                self._end_txn(msg.block)
+
+            self.sim.at(t, finish_excl)
+            return
 
         def finish() -> None:
             data = self.mem.read_block(msg.block)

@@ -62,7 +62,7 @@ ACTION_VOCABULARY = {
     "invalidate": "self.cache.invalidate(...)",
     "fill": "self._complete_fill(...): install + resume stalled read",
     "apply_store": "self._apply_store(...): retire the head store locally",
-    "finish_atomic": "self._finish_atomic(...): run the pending atomic",
+    "finish_atomic": "self._run_atomic(...) of the pending atomic",
     "evict": "self._evict(...): displacement of a victim line",
     "ack": "self._ack_collected(): one expected ack arrived",
     "retire_done": "self._retire_done(): head write globally performed",
@@ -164,6 +164,29 @@ class TransitionRow:
     note: Optional[str] = None
     when: Optional[str] = None
     origin: Origin = field(**ORIGIN_FIELD)
+
+    #: :meth:`__hash__`, once computed.  Not a field (out of equality,
+    #: repr, JSON and ``dataclasses.replace``), set like
+    #: ``RunSpec._key``, and left out of pickles and copies: ``str``
+    #: hashes are salted per process.
+    _hash = None
+
+    def __hash__(self) -> int:
+        # the value the dataclass would generate (the compare fields'
+        # tuple, ``origin`` left out), kept: the spec-graph explorer
+        # hashes rows on every edge
+        h = self._hash
+        if h is None:
+            h = hash((self.state, self.event, self.actions,
+                      self.next_state, self.guard, self.retry,
+                      self.fairness, self.note, self.when))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def to_json(self) -> dict:
         out: dict = {"state": self.state, "event": self.event,

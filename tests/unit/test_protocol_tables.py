@@ -1,12 +1,19 @@
-"""Static sanity checks on the protocol controllers' handler tables."""
+"""Static sanity checks on the protocol controllers' handler tables and
+the line-state sets compiled from the protocol tables."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.config import MachineConfig, Protocol
+from repro.memsys.cache import CACHE_STATES, CacheState
 from repro.network.messages import MsgType
 from repro.protocols import (
-    CUNodeCtrl, HybridNodeCtrl, PUNodeCtrl, WINodeCtrl, make_controller,
+    CUNodeCtrl, HybridNodeCtrl, MESINodeCtrl, PUNodeCtrl, WINodeCtrl,
+    make_controller,
 )
+from repro.protocols.base import LineSets, compile_line_sets
+from repro.protospec import SpecError, get_spec, mesi_stable, synthesize
 from repro.runtime import Machine
 
 WI_SENDS = {
@@ -55,17 +62,79 @@ class TestHandlerTables:
             else:
                 assert name.endswith("_hybrid"), (mtype, name)
 
+    def test_mesi_adds_only_the_exclusive_fill(self):
+        # every other MESI delta is a line set WI's handlers read
+        assert MsgType.EXCL_REPLY not in WINodeCtrl.HANDLERS
+        assert MESINodeCtrl.HANDLERS == {
+            **WINodeCtrl.HANDLERS,
+            MsgType.EXCL_REPLY: "_cache_fill_exclusive_clean"}
+        assert {name for name in vars(MESINodeCtrl)
+                if not name.startswith("__")} == {
+            "HANDLERS", "_cache_fill_exclusive_clean"}
+
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_factory_builds_each_protocol(self, protocol):
         m = Machine(MachineConfig(num_procs=2, protocol=protocol))
         ctrl = m.controllers[0]
         assert ctrl.node == 0
-        assert ctrl.READABLE_STATES
+        assert ctrl._read_hit == compile_line_sets(protocol).read_hit != 0
 
     def test_readable_states_disjoint_roles(self):
-        from repro.memsys.cache import CacheState
-        assert CacheState.MODIFIED in WINodeCtrl.READABLE_STATES
-        assert CacheState.MODIFIED not in PUNodeCtrl.READABLE_STATES
-        assert set(HybridNodeCtrl.READABLE_STATES) == (
-            set(WINodeCtrl.READABLE_STATES)
-            | set(PUNodeCtrl.READABLE_STATES))
+        wi, pu, hybrid = (compile_line_sets(p).read_hit for p in (
+            Protocol.WI, Protocol.PU, Protocol.HYBRID))
+        modified = 1 << CacheState.MODIFIED.code
+        assert wi & modified
+        assert not pu & modified
+        assert hybrid == wi | pu
+
+
+def _names(mask: int) -> str:
+    return "".join(s.value for s in CACHE_STATES if mask >> s.code & 1)
+
+
+#: read hit, store local, atomic local, serves forward, evict writes
+#: back (line states, in CACHE_STATES order), grants E
+LINE_SETS = {
+    Protocol.WI: ("SM", "M", "M", "M", "M", False),
+    Protocol.MESI: ("SME", "ME", "ME", "ME", "ME", True),
+    Protocol.PU: ("VR", "R", "", "", "R", False),
+    Protocol.CU: ("VR", "R", "", "", "R", False),
+    Protocol.HYBRID: ("SMVR", "MR", "M", "M", "MR", False),
+}
+
+
+class TestLineSets:
+    """The line states each handler branch applies in, compiled from
+    the protocol tables."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_sets_are_pinned(self, protocol):
+        sets = compile_line_sets(protocol)
+        assert tuple(map(_names, sets[:5])) + (sets.grants_e,) == \
+            LINE_SETS[protocol]
+
+    def test_sets_are_compiled_once_per_protocol(self):
+        assert compile_line_sets(Protocol.MESI) is \
+            compile_line_sets("mesi")
+
+    def test_sets_follow_the_table(self):
+        # a MESI whose E eviction is silent writes back only from M
+        stable = mesi_stable()
+        rules = tuple(
+            replace(r, actions="") if (r.state, r.stimulus) == (
+                "E", "local:evict") else r
+            for r in stable.cache.local_rules)
+        spec = synthesize(replace(stable, cache=replace(
+            stable.cache, local_rules=rules)))
+        sets = LineSets.from_spec(spec)
+        assert _names(sets.evict_wb) == "M"
+        assert sets._replace(evict_wb=0) == \
+            compile_line_sets(Protocol.MESI)._replace(evict_wb=0)
+
+    def test_forward_rows_must_agree(self):
+        spec = get_spec(Protocol.MESI)
+        rows = tuple(r for r in spec.cache.rows if (r.state, r.event) != (
+            "E", "FETCH_INV_FWD"))
+        broken = replace(spec, cache=replace(spec.cache, rows=rows))
+        with pytest.raises(SpecError, match="FETCH_INV_FWD"):
+            LineSets.from_spec(broken)

@@ -3,6 +3,10 @@ round-trips, and agreement with the controllers' HANDLERS tables."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.config import Protocol
@@ -151,3 +155,40 @@ def test_row_round_trip_drops_no_field():
     assert TransitionRow.from_json(row.to_json()) == row
     bare = TransitionRow("I", "INV", ())
     assert TransitionRow.from_json(bare.to_json()) == bare
+
+
+# --- the row hash memo --------------------------------------------------
+
+def _generated_hash(row: TransitionRow) -> int:
+    """What ``@dataclass(frozen=True)`` generates: the hash of the
+    compare fields' tuple."""
+    return hash(tuple(getattr(row, f.name) for f in dataclasses.fields(row)
+                      if f.compare))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_row_hash_memo_equals_the_generated_hash(name):
+    for side in get_spec(name).sides:
+        for row in side.rows:
+            assert hash(row) == _generated_hash(row)
+            assert hash(row) == row._hash       # now memoized
+
+
+def test_replace_recomputes_the_row_hash():
+    row = get_spec("wi").cache.rows[0]
+    hash(row)
+    other = dataclasses.replace(row, note="changed")
+    assert other._hash is None
+    assert hash(other) == _generated_hash(other) != hash(row)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda row: pickle.loads(pickle.dumps(row)), copy.copy, copy.deepcopy,
+])
+def test_pickled_and_copied_rows_carry_no_memo(clone):
+    row = get_spec("mesi").cache.rows[0]
+    hash(row)
+    twin = clone(row)
+    assert "_hash" not in vars(twin)
+    assert twin == row and twin.origin == row.origin
+    assert hash(twin) == hash(row)
