@@ -44,6 +44,11 @@ class MissClass(enum.Enum):
         return self in (MissClass.COLD, MissClass.TRUE_SHARING)
 
 
+# counter slots, one per MissClass member in definition order
+_COLD, _TRUE_SHARING, _FALSE_SHARING, _EVICTION, _DROP = range(
+    len(MissClass))
+
+
 class _Pending:
     """Unresolved sharing miss: true iff a remote-written word gets
     referenced before the block leaves again.
@@ -61,11 +66,12 @@ class _Pending:
 
 
 class MissClassifier:
-    """Online classifier; one instance per simulated machine."""
+    """Online classifier; one instance per simulated machine.  The
+    counts live in a list indexed by class, so counting hashes no enum
+    member."""
 
     def __init__(self) -> None:
-        #: miss counts by category
-        self.counts: Dict[MissClass, int] = {c: 0 for c in MissClass}
+        self._counts = [0] * len(MissClass)
         #: exclusive-request (upgrade) transaction count
         self.exclusive_requests = 0
         #: total shared references (for miss-rate computation)
@@ -83,6 +89,11 @@ class MissClassifier:
         self._touched: Set[Tuple[int, int]] = set()
         # (node, block) -> pending true/false record
         self._pending: Dict[Tuple[int, int], _Pending] = {}
+
+    @property
+    def counts(self) -> Dict[MissClass, int]:
+        """Misses per category (a fresh dict)."""
+        return dict(zip(MissClass, self._counts))
 
     # ------------------------------------------------------------------
     # feed (called by protocol controllers)
@@ -113,21 +124,21 @@ class MissClassifier:
         key = (node, block)
         if key not in self._touched:
             self._touched.add(key)
-            self.counts[MissClass.COLD] += 1
+            self._counts[_COLD] += 1
             return
         reason = self._leave_reason.get(key, EvictReason.REPLACEMENT)
         if reason is EvictReason.DROP:
-            self.counts[MissClass.DROP] += 1
+            self._counts[_DROP] += 1
         elif reason is EvictReason.INVALIDATION:
             leave = self._leave_seq.get(key, 0)
             if self._remotely_written(node, block, leave, word):
-                self.counts[MissClass.TRUE_SHARING] += 1
+                self._counts[_TRUE_SHARING] += 1
             else:
                 # defer: true iff a remote-written word is referenced
                 # during this caching lifetime
                 self._pending[key] = _Pending(leave)
         else:  # REPLACEMENT or FLUSH
-            self.counts[MissClass.EVICTION] += 1
+            self._counts[_EVICTION] += 1
 
     def record_reference(self, node: int, block: int, word: int,
                          count: bool = True) -> None:
@@ -143,7 +154,7 @@ class MissClassifier:
         if pend is not None and self._remotely_written(
                 node, block, pend.leave_seq, word):
             del self._pending[(node, block)]
-            self.counts[MissClass.TRUE_SHARING] += 1
+            self._counts[_TRUE_SHARING] += 1
 
     def record_upgrade(self, node: int, block: int) -> None:
         self.exclusive_requests += 1
@@ -165,7 +176,7 @@ class MissClassifier:
     def _resolve_pending(self, key: Tuple[int, int]) -> None:
         if key in self._pending:
             del self._pending[key]
-            self.counts[MissClass.FALSE_SHARING] += 1
+            self._counts[_FALSE_SHARING] += 1
 
     # ------------------------------------------------------------------
 
@@ -179,7 +190,7 @@ class MissClassifier:
     # ------------------------------------------------------------------
 
     def snapshot_state(self):
-        return (dict(self.counts), self.exclusive_requests,
+        return (self._counts[:], self.exclusive_requests,
                 self.shared_refs,
                 {b: dict(log) for b, log in self._writes.items()},
                 dict(self._write_seq), dict(self._leave_seq),
@@ -189,7 +200,7 @@ class MissClassifier:
     def restore_state(self, snap) -> None:
         (counts, exclusive_requests, shared_refs, writes, write_seq,
          leave_seq, leave_reason, touched, pending) = snap
-        self.counts = dict(counts)
+        self._counts = list(counts)
         self.exclusive_requests = exclusive_requests
         self.shared_refs = shared_refs
         self._writes = {b: dict(log) for b, log in writes.items()}
@@ -205,13 +216,14 @@ class MissClassifier:
 
     @property
     def total_misses(self) -> int:
-        return sum(self.counts.values())
+        return sum(self._counts)
 
     def useful_misses(self) -> int:
-        return sum(n for c, n in self.counts.items() if c.useful)
+        return sum(n for c, n in zip(MissClass, self._counts) if c.useful)
 
     def useless_misses(self) -> int:
-        return sum(n for c, n in self.counts.items() if not c.useful)
+        return sum(n for c, n in zip(MissClass, self._counts)
+                   if not c.useful)
 
     def miss_rate(self) -> float:
         if self.shared_refs == 0:
@@ -219,7 +231,7 @@ class MissClassifier:
         return self.total_misses / self.shared_refs
 
     def as_dict(self) -> Dict[str, int]:
-        out = {c.value: n for c, n in self.counts.items()}
+        out = {c.value: n for c, n in zip(MissClass, self._counts)}
         out["exclusive_requests"] = self.exclusive_requests
         out["total"] = self.total_misses
         return out

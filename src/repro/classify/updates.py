@@ -27,7 +27,7 @@ Categories:
 from __future__ import annotations
 
 import enum
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 
 class UpdateClass(enum.Enum):
@@ -43,26 +43,33 @@ class UpdateClass(enum.Enum):
         return self is UpdateClass.USEFUL
 
 
-class _Record:
-    __slots__ = ("referenced", "other_ref")
-
-    def __init__(self) -> None:
-        #: receiver referenced the updated word during the lifetime
-        self.referenced = False
-        #: receiver referenced some other word of the block concurrently
-        self.other_ref = False
+# counter slots, one per UpdateClass member in definition order
+(_USEFUL, _FALSE_SHARING, _PROLIFERATION, _REPLACEMENT, _TERMINATION,
+ _DROP) = range(len(UpdateClass))
 
 
 class UpdateClassifier:
-    """Online classifier; one instance per simulated machine."""
+    """Online classifier; one instance per simulated machine.
+
+    The counts live in a list indexed by class, so counting hashes no
+    enum member.  An open update's record is a ``[referenced,
+    other_ref]`` pair: whether the receiver referenced the updated
+    word, and whether it referenced another word of the block, during
+    the update's lifetime.
+    """
 
     def __init__(self) -> None:
-        self.counts: Dict[UpdateClass, int] = {c: 0 for c in UpdateClass}
-        #: (node, block) -> {word -> open record}
-        self._open: Dict[Tuple[int, int], Dict[int, _Record]] = {}
+        self._counts = [0] * len(UpdateClass)
+        #: (node, block) -> {word -> open [referenced, other_ref]}
+        self._open: Dict[Tuple[int, int], Dict[int, List[bool]]] = {}
         #: update messages delivered to nodes that no longer cache the
         #: block (race with a drop/flush) -- pure waste
         self.stale_deliveries = 0
+
+    @property
+    def counts(self) -> Dict[UpdateClass, int]:
+        """Updates per class (a fresh dict)."""
+        return dict(zip(UpdateClass, self._counts))
 
     # ------------------------------------------------------------------
     # feed
@@ -70,11 +77,19 @@ class UpdateClassifier:
 
     def record_update(self, node: int, block: int, word: int) -> None:
         """An update message was applied to ``node``'s cached copy."""
-        recs = self._open.setdefault((node, block), {})
-        old = recs.get(word)
-        if old is not None:
-            self._close_overwritten(old)
-        recs[word] = _Record()
+        recs = self._open.get((node, block))
+        if recs is None:
+            self._open[node, block] = {word: [False, False]}
+            return
+        rec = recs.get(word)
+        if rec is None:
+            recs[word] = [False, False]
+            return
+        # the update overwrites an open one: close it, and reuse its
+        # record for the new one
+        self._counts[_USEFUL if rec[0] else
+                     _FALSE_SHARING if rec[1] else _PROLIFERATION] += 1
+        rec[0] = rec[1] = False
 
     def record_drop_update(self, node: int, block: int, word: int) -> None:
         """The update that triggered a CU self-invalidation at ``node``.
@@ -82,13 +97,13 @@ class UpdateClassifier:
         The triggering message itself is a *drop* update; all still-open
         records for the block end their lifetimes with the invalidation.
         """
-        self.counts[UpdateClass.DROP] += 1
+        self._counts[_DROP] += 1
         self.record_block_gone(node, block)
 
     def record_stale_update(self, node: int, block: int) -> None:
         """Update delivered to a node that no longer caches the block."""
         self.stale_deliveries += 1
-        self.counts[UpdateClass.PROLIFERATION] += 1
+        self._counts[_PROLIFERATION] += 1
 
     def record_reference(self, node: int, block: int, word: int) -> None:
         """A local reference by ``node`` to ``word`` of ``block``."""
@@ -97,9 +112,9 @@ class UpdateClassifier:
             return
         for w, rec in recs.items():
             if w == word:
-                rec.referenced = True
+                rec[0] = True
             else:
-                rec.other_ref = True
+                rec[1] = True
 
     def record_block_gone(self, node: int, block: int) -> None:
         """``block`` left ``node``'s cache (replacement / flush / inval).
@@ -110,30 +125,18 @@ class UpdateClassifier:
         recs = self._open.pop((node, block), None)
         if not recs:
             return
-        for rec in recs.values():
-            if rec.referenced:
-                self.counts[UpdateClass.USEFUL] += 1
-            else:
-                self.counts[UpdateClass.REPLACEMENT] += 1
+        counts = self._counts
+        for referenced, _ in recs.values():
+            counts[_USEFUL if referenced else _REPLACEMENT] += 1
 
     # ------------------------------------------------------------------
 
-    def _close_overwritten(self, rec: _Record) -> None:
-        if rec.referenced:
-            self.counts[UpdateClass.USEFUL] += 1
-        elif rec.other_ref:
-            self.counts[UpdateClass.FALSE_SHARING] += 1
-        else:
-            self.counts[UpdateClass.PROLIFERATION] += 1
-
     def finalize(self) -> None:
         """End of program: close every open record."""
+        counts = self._counts
         for recs in self._open.values():
-            for rec in recs.values():
-                if rec.referenced:
-                    self.counts[UpdateClass.USEFUL] += 1
-                else:
-                    self.counts[UpdateClass.TERMINATION] += 1
+            for referenced, _ in recs.values():
+                counts[_USEFUL if referenced else _TERMINATION] += 1
         self._open.clear()
 
     # ------------------------------------------------------------------
@@ -141,23 +144,16 @@ class UpdateClassifier:
     # ------------------------------------------------------------------
 
     def snapshot_state(self):
-        return (dict(self.counts), self.stale_deliveries,
-                {key: {w: (r.referenced, r.other_ref)
-                       for w, r in recs.items()}
+        return (self._counts[:], self.stale_deliveries,
+                {key: {w: tuple(rec) for w, rec in recs.items()}
                  for key, recs in self._open.items()})
 
     def restore_state(self, snap) -> None:
         counts, stale_deliveries, open_recs = snap
-        self.counts = dict(counts)
+        self._counts = list(counts)
         self.stale_deliveries = stale_deliveries
-        restored: Dict[Tuple[int, int], Dict[int, _Record]] = {}
-        for key, recs in open_recs.items():
-            out = restored[key] = {}
-            for word, (referenced, other_ref) in recs.items():
-                rec = out[word] = _Record()
-                rec.referenced = referenced
-                rec.other_ref = other_ref
-        self._open = restored
+        self._open = {key: {w: list(rec) for w, rec in recs.items()}
+                      for key, recs in open_recs.items()}
 
     # ------------------------------------------------------------------
     # results
@@ -165,15 +161,15 @@ class UpdateClassifier:
 
     @property
     def total_updates(self) -> int:
-        return sum(self.counts.values())
+        return sum(self._counts)
 
     def useful_updates(self) -> int:
-        return self.counts[UpdateClass.USEFUL]
+        return self._counts[_USEFUL]
 
     def useless_updates(self) -> int:
         return self.total_updates - self.useful_updates()
 
     def as_dict(self) -> Dict[str, int]:
-        out = {c.value: n for c, n in self.counts.items()}
+        out = {c.value: n for c, n in zip(UpdateClass, self._counts)}
         out["total"] = self.total_updates
         return out

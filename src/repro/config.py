@@ -28,8 +28,8 @@ class Protocol(enum.Enum):
           un-referenced updates and asks the home to stop sending them.
     HYBRID -- per-block protocol selection (the FLASH/Typhoon scenario
           that motivates the paper): each shared allocation is tagged
-          with the protocol that manages its blocks, and the machine
-          runs all of them side by side.
+          with the protocol (WI, PU or CU) that manages its blocks, and
+          the machine runs all of them side by side.
     MESI -- write invalidate with a clean-exclusive state: a read miss
           on an unowned block is granted E and upgrades to M silently
           on the first store.  Authored as a stable-state spec only;
@@ -68,6 +68,13 @@ class Protocol(enum.Enum):
             return aliases[t]
         except KeyError:
             raise ValueError(f"unknown protocol {text!r}") from None
+
+
+#: why a HYBRID machine takes no MESI blocks
+NO_HYBRID_MESI = (
+    "a HYBRID machine cannot run MESI blocks: it runs every "
+    "invalidate block on WI's handlers and the hybrid table, which "
+    "has no E state; use WI")
 
 
 #: Mesh shapes used for each machine size (paper simulates up to 32 nodes;
@@ -153,7 +160,8 @@ class MachineConfig:
     #: written through (the home grants "retain" and the writer keeps
     #: future updates local until a recall)
     retain_private: bool = True
-    #: protocol for untagged allocations on a HYBRID machine
+    #: protocol for untagged allocations on a HYBRID machine (WI, PU
+    #: or CU)
     hybrid_default: Protocol = Protocol.WI
     #: PU optimization 2: flush the forking processor's cache when a
     #: parallel thread is created, eliminating useless updates of data
@@ -194,6 +202,8 @@ class MachineConfig:
             raise ValueError("num_procs must be >= 1")
         if self.hybrid_default is Protocol.HYBRID:
             raise ValueError("hybrid_default must be a concrete protocol")
+        if self.hybrid_default is Protocol.MESI:
+            raise ValueError(f"hybrid_default: {NO_HYBRID_MESI}")
         for name in ("word_size_bytes", "block_size_bytes",
                      "cache_size_bytes"):
             if getattr(self, name) <= 0:

@@ -314,13 +314,6 @@ class Cache:
         self._fire(block)
         return True
 
-    def set_state(self, block: int, state) -> None:
-        line = self.lookup(block)
-        if line is None:
-            raise KeyError(f"block {block} not cached")
-        line.state_code = _state_code(state)
-        self._fire(block)
-
     def read_word(self, block: int, word: int) -> Any:
         line = self.lookup(block)
         if line is None:

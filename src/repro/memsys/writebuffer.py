@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Sequence
 
 _write_ids = itertools.count()
 
@@ -47,8 +47,6 @@ class WriteBuffer:
         self._fifo: Deque[PendingWrite] = deque()
         #: callbacks waiting for a free slot (stalled processor)
         self._space_waiters: List[Callable[[], None]] = []
-        #: callbacks waiting for the buffer to drain completely
-        self._empty_waiters: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
 
@@ -72,14 +70,10 @@ class WriteBuffer:
         return self._fifo[0] if self._fifo else None
 
     def pop(self) -> PendingWrite:
-        """Retire the head entry and wake space/empty waiters."""
+        """Retire the head entry and wake space waiters."""
         write = self._fifo.popleft()
         if self._space_waiters:
             waiters, self._space_waiters = self._space_waiters, []
-            for cb in waiters:
-                cb()
-        if not self._fifo and self._empty_waiters:
-            waiters, self._empty_waiters = self._empty_waiters, []
             for cb in waiters:
                 cb()
         return write
@@ -88,16 +82,11 @@ class WriteBuffer:
     # read forwarding
     # ------------------------------------------------------------------
 
-    def forward(self, word: int) -> Optional[PendingWrite]:
-        """Most recent queued write to ``word`` (reads bypass + forward)."""
-        for write in reversed(self._fifo):
-            if write.word == word:
-                return write
-        return None
-
-    def writes_to(self, word: int) -> List[PendingWrite]:
+    def writes_to(self, word: int) -> Sequence[PendingWrite]:
         """All queued writes to ``word``, oldest first (for composing
-        sub-word stores)."""
+        sub-word stores); ``()`` when the buffer is empty."""
+        if not self._fifo:
+            return ()
         return [w for w in self._fifo if w.word == word]
 
     def pending_blocks(self) -> List[int]:
@@ -109,14 +98,12 @@ class WriteBuffer:
     # ------------------------------------------------------------------
 
     def snapshot_state(self):
-        return (tuple(self._fifo), tuple(self._space_waiters),
-                tuple(self._empty_waiters))
+        return tuple(self._fifo), tuple(self._space_waiters)
 
     def restore_state(self, snap) -> None:
-        fifo, space, empty = snap
+        fifo, space = snap
         self._fifo = deque(fifo)
         self._space_waiters = list(space)
-        self._empty_waiters = list(empty)
 
     # ------------------------------------------------------------------
     # stall hooks
@@ -124,9 +111,3 @@ class WriteBuffer:
 
     def on_space(self, callback: Callable[[], None]) -> None:
         self._space_waiters.append(callback)
-
-    def on_empty(self, callback: Callable[[], None]) -> None:
-        if self.empty:
-            callback()
-        else:
-            self._empty_waiters.append(callback)

@@ -551,7 +551,6 @@ class _Emitter:
             self.pw(out, pw)
         out.append("),")
         self.cbs(out, c.wb._space_waiters)
-        self.cbs(out, c.wb._empty_waiters)
         self.worddict(out, c.mem._words)
         out.append(f"{max(0, c.mem._busy_until - self.base)},")
         entries = []

@@ -213,7 +213,7 @@ class Network:
 
     # ------------------------------------------------------------------
 
-    def post(self, mtype: MsgType, src: int, dst: int, block: int,
+    def post(self, src: int, mtype: MsgType, dst: int, block: int,
              requester: int = -1, word: Optional[int] = None,
              value=None, data: Optional[dict] = None, nacks: int = 0,
              seq: int = -1, op: Optional[str] = None, operand=None,
@@ -221,7 +221,9 @@ class Network:
              write_id: Optional[int] = None,
              mask: Optional[int] = None) -> None:
         """Build a message and inject it: the one send path, which
-        protocol controllers and :meth:`send` both take."""
+        protocol controllers and :meth:`send` both take.  ``src`` comes
+        first so a controller can bind it once
+        (``functools.partial(net.post, node)``, ``NodeCtrl._send``)."""
         ti = mtype.index
         msg = Message(mtype, src, dst, block, self._size_table[ti],
                       requester, word, value, data, nacks, seq, op,
@@ -282,7 +284,7 @@ class Network:
         """Inject a caller-built ``msg`` (tests / ad-hoc traffic): the
         fabric posts its payload fields, so the destination handler
         receives a copy built by :meth:`post`."""
-        self.post(msg.mtype, msg.src, msg.dst, msg.block, msg.requester,
+        self.post(msg.src, msg.mtype, msg.dst, msg.block, msg.requester,
                   msg.word, msg.value, msg.data, msg.nacks, msg.seq,
                   msg.op, msg.operand, msg.result, msg.retain,
                   msg.write_id, msg.mask)

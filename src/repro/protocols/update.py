@@ -145,30 +145,35 @@ class PUNodeCtrl(NodeCtrl):
     # ==================================================================
 
     def _cache_upd_prop(self, msg: Message) -> None:
-        line = self.cache.lookup(msg.block)
+        block = msg.block
+        line = self.cache.lookup(block)
         if line is None:
             # raced with our drop/flush/eviction; still ack the writer
-            self.upd_cls.record_stale_update(self.node, msg.block)
-            self._send(MsgType.UPD_ACK, msg.requester, msg.block)
+            self.upd_cls.record_stale_update(self.node, block)
+            self._send(MsgType.UPD_ACK, msg.requester, block)
             return
         if self._drop_check(line, msg):
-            self._send(MsgType.UPD_ACK, msg.requester, msg.block)
+            self._send(MsgType.UPD_ACK, msg.requester, block)
             return
+        word = msg.word
         if self.san is not None:
-            self.san.check_update(self.node, msg.block, msg.word,
-                                  msg.value)
+            self.san.check_update(self.node, block, word, msg.value)
         # Merge under the writer's mask rather than overwriting: the
         # propagated value is the home's merge at *serialization* time,
         # so bytes outside the mask may predate a store this node has
         # already applied locally (and not yet written through).  A
         # full-word overwrite here loses that store if the copy is
         # later retained as the dirty owner.
-        merged = merge_word(line.data.get(msg.word, 0), msg.value,
-                            msg.mask)
-        merged = self._shadow_pending_stores(msg, merged)
-        self.cache.write_word(msg.block, msg.word, merged)
-        self.upd_cls.record_update(self.node, msg.block, msg.word)
-        self._send(MsgType.UPD_ACK, msg.requester, msg.block)
+        mask = msg.mask
+        merged = msg.value if mask is None else merge_word(
+            line.data.get(word, 0), msg.value, mask)
+        if not self.wb.empty:
+            merged = self._shadow_pending_stores(msg, merged)
+        # Cache.write_word into the line looked up above
+        line.data[word] = merged
+        self.cache._fire(block)
+        self.upd_cls.record_update(self.node, block, word)
+        self._send(MsgType.UPD_ACK, msg.requester, block)
 
     def _shadow_pending_stores(self, msg: Message, merged: int) -> int:
         """Store-buffer shadowing: a write of ours still queued (or

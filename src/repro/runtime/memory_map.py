@@ -20,7 +20,7 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.config import MachineConfig, Protocol
+from repro.config import NO_HYBRID_MESI, MachineConfig, Protocol
 
 
 @dataclass
@@ -93,10 +93,14 @@ class MemoryMap:
                 barrier = DisseminationBarrier(machine)
 
         Nesting is allowed; the innermost tag wins.  On single-protocol
-        machines the tags are recorded but have no effect.
+        machines the tags are recorded but have no effect.  A HYBRID
+        machine takes no MESI tag (:data:`~repro.config.NO_HYBRID_MESI`).
         """
         if protocol is Protocol.HYBRID:
             raise ValueError("tag allocations with a concrete protocol")
+        if protocol is Protocol.MESI and \
+                self.config.protocol is Protocol.HYBRID:
+            raise ValueError(NO_HYBRID_MESI)
         prev = self._current_protocol
         self._current_protocol = protocol
         try:

@@ -32,7 +32,7 @@ class Processor:
     __slots__ = ("sim", "node", "ctrl", "machine", "_gen", "done",
                  "done_time", "instructions", "spin_wakeups", "started",
                  "failure", "_current_op", "_done_callbacks", "_race",
-                 "_cont_none", "_spin_attempt_cb", "_spin_check_cb",
+                 "_cont", "_cont_none", "_spin_attempt_cb", "_spin_check_cb",
                  "_spin_wake_cb", "_spin_addr", "_spin_word",
                  "_spin_block", "_spin_pred")
 
@@ -57,8 +57,9 @@ class Processor:
         self._done_callbacks: list = []
         # continuations bound once per processor, not once per
         # instruction: the processor is blocking (single outstanding
-        # op), so one zero-arg resume and one set of spin-loop
-        # callbacks can be reused for the thread's whole life
+        # op), so one resume, one zero-arg resume and one set of
+        # spin-loop callbacks can be reused for the thread's whole life
+        self._cont = self._resume
         self._cont_none = self._continue_none
         self._spin_attempt_cb = self._spin_attempt
         self._spin_check_cb = self._spin_check
@@ -89,7 +90,7 @@ class Processor:
         if self.started:
             raise RuntimeError("processor already started")
         self.started = True
-        self.sim.schedule(0, self._resume, None)
+        self.sim.schedule(0, self._cont, None)
 
     def _finish(self) -> None:
         self.done = True
@@ -126,14 +127,13 @@ class Processor:
         if cls is Read:
             if race is not None:
                 race.on_read(self.node, op.addr)
-            self.ctrl.read(op.addr, self._resume)
+            self.ctrl.read(op.addr, self._cont)
         elif cls is Write:
             if race is not None:
                 race.on_write(self.node, op.addr, op.value, op.mask)
-            self.ctrl.write(op.addr, op.value, self._resume,
-                            mask=op.mask)
+            self.ctrl.write(op.addr, op.value, self._cont, mask=op.mask)
         elif cls is Compute:
-            self.sim.schedule(op.cycles, self._resume, None)
+            self.sim.schedule(op.cycles, self._cont, None)
         elif cls is SpinUntil:
             if race is not None:
                 race.on_spin_start(self.node, op.addr)
@@ -150,18 +150,18 @@ class Processor:
                 self.ctrl.atomic(op.opname, addr, op.operand, atomic_done)
             else:
                 self.ctrl.atomic(op.opname, op.addr, op.operand,
-                                 self._resume)
+                                 self._cont)
         elif cls is Fence:
             if race is not None:
                 race.on_fence(self.node)
             self.ctrl.fence(self._cont_none)
         elif cls is CallHook:
-            op.fn(self, self._resume)
+            op.fn(self, self._cont)
         elif cls is Fork:
             if self.machine is None:
                 raise RuntimeError("Fork requires a machine-backed "
                                    "processor")
-            self.machine.fork(self, op.node, op.program, self._resume)
+            self.machine.fork(self, op.node, op.program, self._cont)
         elif cls is Join:
             if race is not None:
                 handle = op.handle
@@ -207,9 +207,15 @@ class Processor:
         # have landed during the 1-cycle hit latency.
         ctrl = self.ctrl
         block = self._spin_block
-        hit, fresh = ctrl.local_view(block, self._spin_word)
-        if hit:
-            value = fresh
+        line = ctrl.cache.lookup(block)
+        if ctrl.wb.empty:
+            # no store of ours to compose: the local view is the copy
+            if line is not None and ctrl._read_hit >> line.state_code & 1:
+                value = line.data.get(self._spin_word, 0)
+        else:
+            hit, fresh = ctrl.local_view(block, self._spin_word)
+            if hit:
+                value = fresh
         if self._spin_pred(value):
             if self._race is not None:
                 # a successful spin is an acquire on the word
@@ -217,7 +223,7 @@ class Processor:
             self._spin_pred = None
             self._resume(value)
             return
-        if ctrl.cache.contains(block):
+        if line is not None:
             # park until the local copy changes (update arrives,
             # invalidation, or a new fill)
             ctrl.cache.watch(block, self._spin_wake_cb)

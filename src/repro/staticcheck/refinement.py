@@ -22,6 +22,7 @@ and keeps open transitions in ``machine.snapshot_containers``.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from operator import attrgetter
@@ -195,8 +196,9 @@ class RefinementCheck:
             i = innermost()
             f = stack[i] if i is not None else opened.get((node, block))
             if f is None:
-                self._report(send, None, proto, "", "", mtype.name,
-                             "a send outside any transition")
+                # named by the code that sent it
+                self._report(sys._getframe(1).f_code, None, proto, "", "",
+                             mtype.name, "a send outside any transition")
             else:
                 if f.side == "home" and not f.sends and (
                         parts := _parts(ctrl, f.block)) != f.parts[0]:
@@ -324,8 +326,10 @@ class RefinementCheck:
 
     def _report(self, handler, row, view, side, state, event,
                 detail) -> None:
-        """One finding per (view, side, state, event, handler)."""
-        code = getattr(handler, "__func__", handler).__code__
+        """One finding per (view, side, state, event, handler); the
+        handler is a function, a bound method or a code object."""
+        code = getattr(getattr(handler, "__func__", handler), "__code__",
+                       handler)
         file, line = source_path(code.co_filename), code.co_firstlineno
         if row is not None:
             detail += " (row at %s:%d)" % origin_of(row)

@@ -312,7 +312,7 @@ CONFIG_WRONG = {
 CONFIG_WRONG["protocol"] = st.one_of(
     _NOT_STR, st.sampled_from(["dragon", "", "w i", "moesi"]))
 CONFIG_WRONG["hybrid_default"] = st.one_of(
-    _NOT_STR, st.sampled_from(["hybrid", "dragon"]))
+    _NOT_STR, st.sampled_from(["hybrid", "mesi", "dragon"]))
 #: machines over the service's size limits (RUN_BODY's machine has 2
 #: nodes and 64-byte blocks)
 _TOO_MANY_PROCS = st.integers(api.MAX_PROCS + 1, 10**7)

@@ -213,3 +213,60 @@ class TestUpdateClassifier:
         assert uc.useful_updates() == 1
         assert uc.useless_updates() == 1
         assert uc.total_updates == 2
+
+
+class TestSnapshotRestore:
+    """The classifiers count in lists indexed by class; a snapshot must
+    copy those lists, or a run after the snapshot would leak into it."""
+
+    @staticmethod
+    def _machine():
+        from repro.config import MachineConfig, Protocol
+        from repro.runtime import Machine
+        from repro.sync.locks import make_lock
+        from repro.isa.ops import Compute
+
+        machine = Machine(MachineConfig(num_procs=4, protocol=Protocol.CU))
+        lock = make_lock("MCS", machine, home=0)
+
+        def program(node):
+            for _ in range(12):
+                token = yield from lock.acquire(node)
+                yield Compute(5)
+                yield from lock.release(node, token)
+
+        for node in range(4):
+            machine.spawn(node, program(node),
+                          factory=lambda node=node: program(node))
+        machine.record_histories()
+        return machine
+
+    @staticmethod
+    def _counts(machine):
+        mc, uc = machine.miss_classifier, machine.update_classifier
+        return mc.counts, mc.as_dict(), uc.counts, uc.as_dict()
+
+    def test_counts_survive_snapshot_restore_and_run_on(self):
+        from repro.campaign.result import run_result_to_jsonable
+
+        ref = run_result_to_jsonable(self._machine().run())
+        machine = self._machine()
+        machine.prepare()
+        machine.sim.run(until=1500)
+        # mid-run: some counts taken, some updates still open
+        assert machine.update_classifier._open
+        at_snapshot = self._counts(machine)
+        assert at_snapshot[3]["total"] and at_snapshot[1]["total"]
+        snap = machine.snapshot()
+
+        machine.sim.run()
+        first = run_result_to_jsonable(machine.finish())
+        assert first == ref
+        final = self._counts(machine)
+        assert final != at_snapshot
+
+        machine.restore(snap)
+        assert self._counts(machine) == at_snapshot
+        machine.sim.run()
+        assert run_result_to_jsonable(machine.finish()) == ref
+        assert self._counts(machine) == final

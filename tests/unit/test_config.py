@@ -113,6 +113,16 @@ class TestMachineConfig:
         with pytest.raises(ValueError):
             MachineConfig(**kw)
 
+    @pytest.mark.parametrize("default", [Protocol.HYBRID, Protocol.MESI],
+                             ids=lambda p: p.value)
+    def test_hybrid_default_must_be_wi_pu_or_cu(self, default):
+        # a HYBRID machine runs non-update blocks on WI's handlers and
+        # table: a MESI default would simulate WI under a MESI label
+        with pytest.raises(ValueError, match="hybrid_default"):
+            MachineConfig(protocol=Protocol.HYBRID, hybrid_default=default)
+        for ok in (Protocol.WI, Protocol.PU, Protocol.CU):
+            MachineConfig(protocol=Protocol.HYBRID, hybrid_default=ok)
+
     def test_paper_machine_sizes(self):
         assert PAPER_MACHINE_SIZES == (1, 2, 4, 8, 16, 32)
 

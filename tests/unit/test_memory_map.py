@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import MachineConfig
+from repro.config import MachineConfig, Protocol
 from repro.runtime import MemoryMap
 
 
@@ -111,3 +111,21 @@ class TestInitialValuesAndLabels:
         found = mm.find("ticket")
         assert found is not None and found.addr == addr
         assert mm.find("nope") is None
+
+
+class TestProtocolTags:
+    def test_a_hybrid_machine_takes_no_mesi_tag(self):
+        mm = MemoryMap(MachineConfig(num_procs=2, protocol=Protocol.HYBRID))
+        with pytest.raises(ValueError, match="cannot run MESI blocks"):
+            with mm.use_protocol(Protocol.MESI):
+                mm.alloc_word(0)
+        assert not mm.block_policy
+        with mm.use_protocol(Protocol.CU):
+            addr = mm.alloc_word(0)
+        assert mm.protocol_of_block(mm.config.block_of(addr)) is \
+            Protocol.CU
+
+    def test_single_protocol_machines_record_any_tag(self):
+        mm = MemoryMap(MachineConfig(num_procs=2, protocol=Protocol.MESI))
+        with mm.use_protocol(Protocol.MESI):
+            mm.alloc_word(0)

@@ -63,14 +63,6 @@ class TestCache:
         c.install(1, CacheState.VALID, {})
         assert c.read_word(1, 68) == 0
 
-    def test_set_state(self):
-        c = self.make()
-        c.install(1, CacheState.VALID, {})
-        c.set_state(1, CacheState.RETAINED)
-        assert c.lookup(1).state is CacheState.RETAINED
-        with pytest.raises(KeyError):
-            c.set_state(9, CacheState.VALID)
-
     def test_watchers_fire_once_per_change(self):
         c = self.make()
         c.install(1, CacheState.VALID, {})
@@ -127,12 +119,15 @@ class TestWriteBuffer:
         with pytest.raises(RuntimeError):
             wb.enqueue(self.pw(8))
 
-    def test_forward_latest_write_wins(self):
+    def test_writes_to_oldest_first(self):
         wb = self.make()
-        wb.enqueue(self.pw(8, 1))
-        wb.enqueue(self.pw(8, 2))
-        assert wb.forward(8).value == 2
-        assert wb.forward(12) is None
+        assert wb.writes_to(8) == ()        # empty buffer: no list built
+        a, b = self.pw(8, 1), self.pw(8, 2)
+        wb.enqueue(a)
+        wb.enqueue(self.pw(12, 3))
+        wb.enqueue(b)
+        assert wb.writes_to(8) == [a, b]
+        assert wb.writes_to(16) == []
 
     def test_space_waiters_woken_on_pop(self):
         wb = self.make(1)
@@ -142,17 +137,6 @@ class TestWriteBuffer:
         assert not woken
         wb.pop()
         assert woken == [1]
-
-    def test_empty_waiters(self):
-        wb = self.make()
-        woken = []
-        wb.on_empty(lambda: woken.append("now"))
-        assert woken == ["now"]        # already empty: immediate
-        wb.enqueue(self.pw(0))
-        wb.on_empty(lambda: woken.append("later"))
-        assert woken == ["now"]
-        wb.pop()
-        assert woken == ["now", "later"]
 
     def test_pending_blocks(self):
         wb = self.make()

@@ -29,7 +29,7 @@ from repro.modelcheck.explorer import _build
 CACHE = ("tags", "lines", "lru", "watchers")
 LINE = ("block", "state_code", "data", "seq", "update_count",
         "dirty_words")
-WRITE_BUFFER = ("fifo", "space_waiters", "empty_waiters")
+WRITE_BUFFER = ("fifo", "space_waiters")
 MEMORY = ("words", "busy_until", "wait_cycles", "accesses")
 DIR_ENTRY = ("dstate", "sharer_mask", "owner", "busy", "queue", "seq",
              "early_wb_mask")

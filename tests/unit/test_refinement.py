@@ -153,6 +153,24 @@ def test_a_handler_that_adds_a_send_is_flagged(monkeypatch):
     assert "DROP_NOTICE" in findings[0].detail
 
 
+def test_a_send_outside_any_transition_names_the_code_that_sent_it():
+    check = RefinementCheck()
+    with check.recording():
+        m, _, block = _machine(Protocol.PU)
+
+    def stray(ctrl):
+        # drift: a notice that no delivery or local stimulus posts
+        ctrl._send(MsgType.DROP_NOTICE, ctrl.home_of(block), block)
+
+    stray(m.controllers[0])
+    m.sim.run()
+    [f] = [f for f in check.findings.values()
+           if "outside any transition" in f.detail]
+    assert (f.file, f.line, f.event) == (
+        "tests/unit/test_refinement.py", stray.__code__.co_firstlineno,
+        "DROP_NOTICE")
+
+
 def test_recording_restores_the_machine_class():
     init = Machine.__init__
     with RefinementCheck().recording():

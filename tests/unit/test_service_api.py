@@ -83,6 +83,14 @@ class TestRunRequests:
         err400(api.spec_from_request, [1, 2])
         err400(api.spec_from_request, "lock")
 
+    def test_hybrid_machine_with_a_mesi_default_is_400(self):
+        # the machine would run the default blocks as WI while the spec,
+        # its key and the served record said MESI
+        body = dict(RUN_BODY, config={"protocol": "hybrid",
+                                      "hybrid_default": "mesi"})
+        msg = err400(api.run_from_request, body, 300.0)
+        assert "cannot run MESI blocks" in msg
+
     def test_bad_params_surface_as_400(self):
         msg = err400(api.spec_from_request,
                      dict(RUN_BODY, params={"kind": ["tk"]}))
