@@ -276,17 +276,23 @@ def _mutants(args, protocols: List[Protocol]) -> int:
 
 def _synth(args, protocols: List[Protocol]) -> int:
     """Report what each protocol's table derives from a stable-state
-    spec (WI and MESI are synthesized; PU, CU and HYBRID are not)."""
-    from repro.protospec import mesi_stable, wi_stable
+    spec (WI, MESI, PU and CU are synthesized; HYBRID merges the
+    synthesized WI and CU tables)."""
+    from repro.protospec import mesi_stable, pu_stable, wi_stable
 
-    stable_specs = {Protocol.WI: wi_stable, Protocol.MESI: mesi_stable}
+    stable_specs = {Protocol.WI: wi_stable, Protocol.MESI: mesi_stable,
+                    Protocol.PU: pu_stable,
+                    Protocol.CU: lambda: pu_stable(competitive=True)}
     for proto in protocols:
         spec = get_spec(proto)
         rows = len(spec.cache.rows) + len(spec.home.rows)
+        imposs = (len(spec.cache.impossible)
+                  + len(spec.home.impossible))
         if proto not in stable_specs:
-            print(f"{proto.value}: hand-written table -- "
-                  f"{len(spec.cache.states)} cache states, "
-                  f"{len(spec.home.states)} home states, {rows} rows")
+            print(f"{proto.value}: the merge of the synthesized WI and CU "
+                  f"tables -- {len(spec.cache.states)} cache states, "
+                  f"{len(spec.home.states)} home states, rows {rows}, "
+                  f"impossible entries {imposs}")
             continue
         stable = stable_specs[proto]()
         authored = set(stable.cache.stable) | set(stable.home.stable)
@@ -294,8 +300,6 @@ def _synth(args, protocols: List[Protocol]) -> int:
                    if s not in stable.cache.stable]
         home_t = [s for s in spec.home.states
                   if s not in stable.home.stable]
-        imposs = (len(spec.cache.impossible)
-                  + len(spec.home.impossible))
         print(f"{proto.value}: synthesized from a stable-state spec")
         print(f"  authored stable states : "
               f"{', '.join(sorted(authored))}")

@@ -329,9 +329,6 @@ class Cache:
         local copy of ``block``."""
         self._watchers.setdefault(block, []).append(callback)
 
-    def unwatch_all(self, block: int) -> None:
-        self._watchers.pop(block, None)
-
     def _fire(self, block: int) -> None:
         cbs = self._watchers.pop(block, None)
         if cbs:

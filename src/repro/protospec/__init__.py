@@ -2,15 +2,14 @@
 
 ``get_spec("wi" | "pu" | "cu" | "hybrid" | "mesi")`` (or a
 :class:`repro.config.Protocol` member) returns the validated
-:class:`ProtocolSpec` for that protocol.  The write-invalidate family
-is authored once, at the *stable-state* level: WI in
-:mod:`repro.protospec.wi`, MESI as its clean-exclusive deltas in
-:mod:`repro.protospec.mesi`, and :mod:`repro.protospec.synth`
-generates both tables' transient states.  PU and CU are hand-written
-transcriptions of the update controllers in :mod:`repro.protocols`
-(:mod:`repro.protospec.tables`), and HYBRID merges the WI and CU
-tables.  :mod:`repro.staticcheck` keeps specs and controllers from
-drifting apart.
+:class:`ProtocolSpec` for that protocol.  Every table is authored once,
+at the *stable-state* level, and :mod:`repro.protospec.synth`
+generates its transient states: WI in :mod:`repro.protospec.wi`, MESI
+as its clean-exclusive deltas in :mod:`repro.protospec.mesi`, and PU
+and CU as one update spec in :mod:`repro.protospec.update`.  HYBRID
+merges the synthesized WI and CU tables (:mod:`repro.protospec.hybrid`).
+:mod:`repro.staticcheck` keeps specs and controllers from drifting
+apart.
 """
 
 from __future__ import annotations
@@ -22,9 +21,10 @@ from repro.protospec.model import (
     WHEN_VOCABULARY, Impossible, ProtocolSpec, SideSpec, SpecError,
     TransitionRow,
 )
+from repro.protospec.hybrid import hybrid_spec
 from repro.protospec.mesi import mesi_spec, mesi_stable
 from repro.protospec.synth import StableSpec, synthesize
-from repro.protospec.tables import cu_spec, hybrid_spec, pu_spec
+from repro.protospec.update import cu_spec, pu_spec, pu_stable
 from repro.protospec.wi import wi_spec, wi_stable
 
 #: protocol value -> spec builder (the order matches Protocol)
@@ -58,5 +58,5 @@ __all__ = [
     "SpecError", "TransitionRow", "SPEC_BUILDERS", "StableSpec",
     "get_spec", "synthesize",
     "wi_spec", "pu_spec", "cu_spec", "hybrid_spec", "mesi_spec",
-    "mesi_stable", "wi_stable",
+    "mesi_stable", "pu_stable", "wi_stable",
 ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.network.messages import MsgType
 
@@ -137,6 +137,13 @@ def call_site(depth: int = 1) -> Tuple[str, int]:
     (1: the caller's caller).  Reads the frame, not the source file."""
     frame = sys._getframe(depth + 1)
     return frame.f_code.co_filename, frame.f_lineno
+
+
+def covered_pairs(rows, states) -> Set[Tuple[str, str]]:
+    """The (state, event) pairs ``rows`` cover, a wildcard row standing
+    for every state in ``states``."""
+    return {(s, r.event) for r in rows
+            for s in (states if r.state == ANY_STATE else (r.state,))}
 
 
 @dataclass(frozen=True)

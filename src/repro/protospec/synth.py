@@ -1,63 +1,65 @@
 """Transient-state synthesis: a full :class:`ProtocolSpec` from a
 stable-state description.
 
-A hand-written table (:mod:`repro.protospec.tables`) spells out
-every transient state and every race row by hand -- roughly three
-quarters of each table is bookkeeping for messages that cross each
-other in flight.  This module implements what the protocol-synthesis
-literature (Synthia, ProtoGen) argues for instead: the author describes
-only the *stable-state* protocol --
+Writing a table by hand means spelling out every transient state and
+every race row -- roughly three quarters of a table is bookkeeping for
+messages that cross each other in flight.  This module implements what
+the protocol-synthesis literature (Synthia, ProtoGen) argues for
+instead: the author describes only the *stable-state* protocol --
 
 * the stable states, and which of them hold a copy / own the block;
 * the transactions that move between them (stimulus, request message,
   the completion messages that can answer it);
-* the reactions of copy holders to the directory's messages (an owner
-  serving a forward);
+* how a sharer answers the directory's coherence message (an
+  invalidation or an update), and how an owner answers a forward;
 
 -- and everything transient is derived mechanically:
 
 1. every :class:`CacheTxn` gets its declared transient state, plus (if
-   the origin state holds a copy that a racing invalidation can take)
-   a shadow transient for the copy-lost continuation;
-2. racing invalidations at every state get rows: invalidate-and-ack
-   where a copy is resident, stale-ack where none is, a reasoned
-   :class:`~repro.protospec.model.Impossible` at owners (the directory
-   recalls owners with forwards, never invalidations);
+   the origin state holds a copy the protocol can take away) a shadow
+   transient for the copy-lost continuation;
+2. the coherence message gets rows at every state: the holder's
+   reactions where a copy is resident (one that drops the copy moves a
+   wait to its shadow), a stale ack where none is, a reasoned
+   :class:`~repro.protospec.model.Impossible` at owners and at waits
+   opened from an owner (the directory recalls owners with forwards);
 3. directory forwards get NACK-retry rows at the initial state and at
-   transients entered from it (the ex-owner's writeback race), with
-   the FIFO fairness justification the progress pass requires, and
-   reasoned Impossible entries everywhere else;
+   transients entered from it (the ex-owner's writeback race), and at
+   waits for an owner grant that travels cache to cache, with the
+   fairness justification the progress pass requires, and reasoned
+   Impossible entries everywhere else;
 4. on the home side, immediate serves are wrapped in
    ``begin_txn``/``end_txn``, each forward gets a busy transient with
    queue rows for every request, writeback-race rows, and a
    ``FWD_NACK`` retry row;
 5. every remaining (state, message) pair is closed with a generated
    Impossible entry, so the completeness pass applies to synthesized
-   specs exactly as to hand-written ones.
+   specs exactly as to any other.
 
 The output is an ordinary validated :class:`ProtocolSpec`:
 ``compile_dispatch`` executes it unchanged, every static pass applies,
 and the spec-graph explorer (:mod:`repro.staticcheck.graph`) can walk
-it.  The write-invalidate family is written this way:
-:mod:`repro.protospec.wi` authors WI as ~40 stable-state declarations
-whose synthesized table has exactly the transition relation of the
-hand-written WI table it replaced, and :mod:`repro.protospec.mesi`
-adds MESI's clean-exclusive deltas to it.
+it.  Every shipped protocol is written this way:
+:mod:`repro.protospec.wi` authors WI, :mod:`repro.protospec.mesi` adds
+MESI's clean-exclusive deltas to it, :mod:`repro.protospec.update`
+authors PU and CU, and :mod:`repro.protospec.hybrid` merges the WI and
+CU tables.  ``tests/unit/test_protocol_relation.py`` pins each table's
+transition relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.protospec.model import (
     ANY_STATE, LOCAL_PREFIX, ORIGIN_FIELD, Impossible, Origin,
     ProtocolSpec, SideSpec, SpecError, TransitionRow, call_site,
+    covered_pairs,
 )
 
-#: fairness justification attached to every synthesized NACK/retry row
-#: (the hand-written update tables give the same argument): the
-#: ex-owner's WRITEBACK precedes its NACK on the same channel, so
+#: fairness justification attached to every synthesized NACK/retry row:
+#: the ex-owner's WRITEBACK precedes its NACK on the same channel, so
 #: per-channel FIFO delivery guarantees the retried transaction is
 #: served from current memory.
 FIFO_FAIRNESS = ("FIFO delivery: the ex-owner's WRITEBACK precedes its "
@@ -92,7 +94,8 @@ class _Declaration:
 @dataclass(frozen=True)
 class LocalRule(_Declaration):
     """A local stimulus handled without opening a transaction (cache
-    hits, silent or writeback evictions, silent upgrades)."""
+    hits, silent or writeback evictions, silent upgrades), at a stable
+    state or at a wait that holds a copy (its eviction)."""
 
     state: str
     stimulus: str                   # "local:read" etc.
@@ -117,18 +120,20 @@ class Completion:
 @dataclass(frozen=True)
 class LostCopy(_Declaration):
     """The copy-lost continuation of a transaction whose origin state
-    held a copy: a racing invalidation moves the transient to
-    ``shadow``, where these completions apply instead."""
+    held a copy: a racing invalidation (or an eviction) moves the
+    transient to ``shadow``, where these completions apply instead.  A
+    shadow that is another transaction's transient completes as that
+    transaction does, and declares no completions of its own."""
 
     shadow: str
-    completions: Tuple[Completion, ...]
+    completions: Tuple[Completion, ...] = ()
     origin: Origin = field(**ORIGIN_FIELD)
 
 
 @dataclass(frozen=True)
 class CacheTxn(_Declaration):
-    """A stimulus that opens a transaction: send ``request``, wait in
-    ``transient`` for one of ``completions``."""
+    """A stimulus that opens a transaction: perform ``actions``, send
+    ``request``, wait in ``transient`` for one of ``completions``."""
 
     state: str
     stimulus: str
@@ -137,12 +142,27 @@ class CacheTxn(_Declaration):
     completions: Tuple[Completion, ...]
     lost_copy: Optional[LostCopy] = None
     note: Optional[str] = None
+    actions: str = ""
     origin: Origin = field(**ORIGIN_FIELD)
 
 
 @dataclass(frozen=True)
+class HolderReaction:
+    """How a non-owner copy holder answers the coherence message, at a
+    stable state and at every wait that holds the copy.  A reaction
+    that drops the copy (``invalidate``) moves a stable holder to the
+    initial state and a wait to its lost-copy shadow; any other leaves
+    it where it is."""
+
+    actions: str
+    when: Optional[str] = None
+    guard: Optional[str] = None
+    note: Optional[str] = None
+
+
+@dataclass(frozen=True)
 class Reaction(_Declaration):
-    """A stable-state response to a directory message (an owner
+    """A response to a directory message at a given state (an owner
     serving a forward)."""
 
     state: str
@@ -156,24 +176,31 @@ class Reaction(_Declaration):
 @dataclass(frozen=True)
 class StableCacheSide(_Declaration):
     """Everything the author says about the cache side.  Its origin
-    goes on the rows its states and messages imply: the invalidation
-    rows of the stable states, the ack row and the initial state's
-    forward NACKs."""
+    goes on the rows its states and messages imply: the coherence
+    message's rows at the stable states, the ack row and the initial
+    state's forward NACKs."""
 
     initial: str
     stable: Tuple[str, ...]
-    #: states holding a readable copy (targets of invalidations)
+    #: states holding a readable copy (targets of the coherence message)
     holders: Tuple[str, ...]
     #: states holding the (clean- or dirty-) exclusive copy; subset of
-    #: holders.  Owners are recalled with forwards, never invalidated.
+    #: holders.  Owners are recalled with forwards and never get the
+    #: coherence message.
     owners: Tuple[str, ...]
     local_rules: Tuple[LocalRule, ...]
     transactions: Tuple[CacheTxn, ...]
     reactions: Tuple[Reaction, ...] = ()
-    #: invalidation message and its ack; None disables the whole
-    #: invalidation closure (update-style protocols)
+    #: the coherence message the directory sends non-owner holders (an
+    #: invalidation, or an update propagation) and its ack; None
+    #: disables the whole closure
     invalidation: Optional[str] = "INV"
     inv_ack: str = "INV_ACK"
+    #: how a non-owner holder answers it, one reaction per ``when``
+    holder_reactions: Tuple[HolderReaction, ...] = ()
+    #: the note on every row that only acks it because no copy is
+    #: resident; None keeps the invalidation notes
+    stale_note: Optional[str] = None
     #: directory forward messages (owner recalls); every owner state
     #: must have a reaction for each
     forwards: Tuple[str, ...] = ("FETCH_FWD", "FETCH_INV_FWD")
@@ -207,7 +234,8 @@ class HomeServe(_Declaration):
 @dataclass(frozen=True)
 class HomeCompletion:
     """A message that closes a forwarded transaction; the synthesizer
-    appends ``end_txn``."""
+    appends ``end_txn`` unless the completion retries the stalled
+    request (``retry_txn``)."""
 
     event: str
     actions: str
@@ -235,8 +263,9 @@ class HomeForward(_Declaration):
 class HomeRule(_Declaration):
     """An event handled outside the transaction framework (an owner's
     WRITEBACK).  With ``race_at_busy`` the synthesizer adds the same
-    handling at every busy state, processed immediately so the NACKed
-    forward's retry observes the clean entry."""
+    handling, under the same guard, at every busy state, processed
+    immediately so the NACKed forward's retry observes the clean
+    entry."""
 
     state: str
     event: str
@@ -287,6 +316,13 @@ def _ordered(seq) -> List:
     return out
 
 
+def _waits(txn: CacheTxn) -> list:
+    """A transaction's wait state and its lost-copy shadow, each with
+    the declaration that introduced it."""
+    return [(txn.transient, txn)] + (
+        [(txn.lost_copy.shadow, txn.lost_copy)] if txn.lost_copy else [])
+
+
 def _synth_cache(side: StableCacheSide) -> SideSpec:
     if side.initial not in side.stable:
         raise SpecError("cache: initial state must be stable")
@@ -331,22 +367,14 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
     for txn in side.transactions:
         rows.append(TransitionRow(
             state=txn.state, event=txn.stimulus,
-            actions=(f"send:{txn.request}",),
+            actions=_actions(txn.actions) + (f"send:{txn.request}",),
             next_state=txn.transient, note=txn.note, origin=txn.origin))
-        for c in txn.completions:
-            rows.append(TransitionRow(
-                state=txn.transient, event=c.event,
-                actions=_actions(c.actions), next_state=c.next_state,
-                guard=c.guard, when=c.when, note=c.note,
-                origin=txn.origin))
-        if txn.lost_copy is not None:
-            for c in txn.lost_copy.completions:
-                rows.append(TransitionRow(
-                    state=txn.lost_copy.shadow, event=c.event,
-                    actions=_actions(c.actions),
-                    next_state=c.next_state,
-                    guard=c.guard, when=c.when, note=c.note,
-                    origin=txn.lost_copy.origin))
+        for state, wait in _waits(txn):
+            rows.extend(TransitionRow(
+                state=state, event=c.event, actions=_actions(c.actions),
+                next_state=c.next_state, guard=c.guard, when=c.when,
+                note=c.note, origin=wait.origin)
+                for c in wait.completions)
     for rx in side.reactions:
         rows.append(TransitionRow(
             state=rx.state, event=rx.event,
@@ -354,60 +382,65 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
             note=rx.note, origin=rx.origin))
 
     impossible: List[Impossible] = []
+    defaults = dict(side.defaults)
 
-    # --- invalidation closure -----------------------------------------
+    # --- coherence-message closure ------------------------------------
     if side.invalidation is not None:
         inv, ack = side.invalidation, side.inv_ack
-        inv_ack_send = f"send:{ack}"
+        ack_only = (f"send:{ack}",)
+        at_owner = defaults.get(inv, (
+            "the directory never invalidates the exclusive owner; "
+            "ownership moves via " + "/".join(side.forwards)))
+        acked = set()
+
+        def react(state, drop_to, origin, note=None) -> None:
+            for hr in side.holder_reactions:
+                drops = "invalidate" in _actions(hr.actions)
+                rows.append(TransitionRow(
+                    state=state, event=inv, actions=_actions(hr.actions),
+                    next_state=drop_to if drops else state,
+                    guard=hr.guard, when=hr.when,
+                    note=hr.note or (note if drops else None),
+                    origin=origin))
+
+        def stale(state, origin, note) -> None:
+            # a shadow that is another transaction's wait gets one row
+            if state not in acked:
+                acked.add(state)
+                rows.append(TransitionRow(
+                    state=state, event=inv, actions=ack_only,
+                    next_state=state, note=side.stale_note or note,
+                    origin=origin))
+
         for s in side.stable:
             if s in side.owners:
-                impossible.append(Impossible(
-                    s, inv,
-                    "the directory never invalidates the exclusive "
-                    "owner; ownership moves via "
-                    + "/".join(side.forwards)))
+                impossible.append(Impossible(s, inv, at_owner))
             elif s in side.holders:
-                rows.append(TransitionRow(
-                    state=s, event=inv,
-                    actions=("invalidate", inv_ack_send),
-                    next_state=side.initial, origin=side.origin))
+                react(s, side.initial, side.origin)
             else:
-                rows.append(TransitionRow(
-                    state=s, event=inv, actions=(inv_ack_send,),
-                    next_state=s,
-                    note="stale invalidation for a copy already "
-                         "dropped; acked harmlessly (full-map bits "
-                         "may be stale)", origin=side.origin))
+                stale(s, side.origin,
+                      "stale invalidation for a copy already dropped; "
+                      "acked harmlessly (full-map bits may be stale)")
         for txn in side.transactions:
-            holds = (txn.state in side.holders
-                     and txn.state not in side.owners)
-            if holds:
+            if txn.state in side.owners:
+                impossible.append(Impossible(txn.transient, inv,
+                                             at_owner))
+            elif txn.state in side.holders:
                 if txn.lost_copy is None:
                     raise SpecError(
                         f"cache: transaction {txn.transient} starts "
                         f"from copy-holding state {txn.state} but "
                         f"declares no lost_copy continuation")
-                rows.append(TransitionRow(
-                    state=txn.transient, event=inv,
-                    actions=("invalidate", inv_ack_send),
-                    next_state=txn.lost_copy.shadow,
-                    note="a racing writer won; the outstanding "
-                         "request will be answered after its "
-                         "transaction completes", origin=txn.origin))
-                rows.append(TransitionRow(
-                    state=txn.lost_copy.shadow, event=inv,
-                    actions=(inv_ack_send,),
-                    next_state=txn.lost_copy.shadow,
-                    origin=txn.lost_copy.origin))
+                react(txn.transient, txn.lost_copy.shadow, txn.origin,
+                      "a racing writer won; the outstanding request "
+                      "will be answered after its transaction "
+                      "completes")
+                stale(txn.lost_copy.shadow, txn.lost_copy.origin, None)
             else:
-                rows.append(TransitionRow(
-                    state=txn.transient, event=inv,
-                    actions=(inv_ack_send,),
-                    next_state=txn.transient,
-                    note="no copy is resident; a racing invalidation "
-                         "is acked and remembered against the "
-                         "pending fill's sequence number",
-                    origin=txn.origin))
+                stale(txn.transient, txn.origin,
+                      "no copy is resident; a racing invalidation is "
+                      "acked and remembered against the pending "
+                      "fill's sequence number")
         # ack collection is node-level (release consistency: the
         # writer only waits at fence points)
         rows.append(TransitionRow(
@@ -419,12 +452,15 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
                   "records as the exclusive owner; this state was "
                   "never recorded as owner while the transaction was "
                   "open")
-    defaults = dict(side.defaults)
     if side.forwards:
         reacted = {(rx.state, rx.event) for rx in side.reactions}
         nack_transients = [(t.transient, t.origin)
                            for t in side.transactions
                            if t.state == side.initial]
+        # messages an owner's reaction sends cache to cache
+        relayed = {a[len("send:"):] for rx in side.reactions
+                   for a in _actions(rx.actions)
+                   if a.startswith("send:")}
         for fwd in side.forwards:
             for owner in side.owners:
                 if (owner, fwd) not in reacted:
@@ -444,18 +480,15 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
             # ownership transfer names it in the directory while the
             # grant (and a demoting INV, for the shadow states) is
             # still in flight.  A forward landing in that window is
-            # NACKed and retried.
+            # NACKed and retried.  A grant the home sends itself
+            # travels on the forward's own channel, so it cannot be
+            # overtaken: that window only opens cache to cache.
             for txn in side.transactions:
-                if txn.state == side.initial:
+                if txn.state == side.initial or not any(
+                        c.next_state in side.owners and c.event in relayed
+                        for c in txn.completions):
                     continue
-                if not any(c.next_state in side.owners
-                           for c in txn.completions):
-                    continue
-                waits = [(txn.transient, txn.origin)]
-                if txn.lost_copy is not None:
-                    waits.append((txn.lost_copy.shadow,
-                                  txn.lost_copy.origin))
-                for st, origin in waits:
+                for st, wait in _waits(txn):
                     rows.append(TransitionRow(
                         state=st, event=fwd,
                         actions=(f"send:{side.nack}",),
@@ -463,7 +496,7 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
                         guard="recorded as owner, but our exclusive "
                               "data is still in flight",
                         retry=True, fairness=XFER_FAIRNESS,
-                        origin=origin))
+                        origin=wait.origin))
             defaults.setdefault(fwd, owner_only)
 
     # --- event alphabet -----------------------------------------------
@@ -486,22 +519,15 @@ def _synth_cache(side: StableCacheSide) -> SideSpec:
     handlers_of: Dict[str, List[str]] = {}
     requests_of: Dict[str, List[str]] = {}
     for txn in side.transactions:
-        comps = list(txn.completions) + (
-            list(txn.lost_copy.completions) if txn.lost_copy else [])
-        for c in comps:
+        for c in (c for _, wait in _waits(txn) for c in wait.completions):
             handlers_of.setdefault(c.event, [])
             requests_of.setdefault(c.event, [])
             for lst, val in ((handlers_of[c.event], txn.transient),
                              (requests_of[c.event], txn.request)):
                 if val not in lst:
                     lst.append(val)
-    covered_msgs = set()
-    for r in rows:
-        if r.event.startswith(LOCAL_PREFIX):
-            continue
-        for s in (states if r.state == ANY_STATE else (r.state,)):
-            covered_msgs.add((s, r.event))
-    covered_msgs.update((i.state, i.event) for i in impossible)
+    covered_msgs = covered_pairs(rows, states) | {
+        (i.state, i.event) for i in impossible}
     for ev in message_events:
         for s in states:
             if (s, ev) in covered_msgs:
@@ -607,9 +633,12 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
                          "recording the requester as owner now would "
                          "strand the block", origin=origin))
             else:
+                # a completion that retries the stalled request leaves
+                # the transaction open for the retry to close
+                if "retry_txn" not in actions:
+                    actions += ("end_txn",)
                 rows.append(TransitionRow(
-                    state=busy, event=c.event,
-                    actions=actions + ("end_txn",),
+                    state=busy, event=c.event, actions=actions,
                     next_state=c.next_state, note=c.note,
                     origin=origin))
     for rule in side.rules:
@@ -651,7 +680,8 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
                     rows.append(TransitionRow(
                         state=busy, event=rule.event,
                         actions=_actions(rule.actions),
-                        next_state=busy,
+                        next_state=busy, guard=rule.guard,
+                        when=rule.when,
                         note="processed immediately (never queued): "
                              "the in-flight forward will be NACKed "
                              "and its retry must observe the clean "
@@ -683,10 +713,7 @@ def _synth_home(side: StableHomeSide) -> SideSpec:
             f"a {side.nack} only answers a forward issued by the "
             f"open transaction"))
 
-    covered = set()
-    for r in rows:
-        for s in (states if r.state == ANY_STATE else (r.state,)):
-            covered.add((s, r.event))
+    covered = covered_pairs(rows, states)
     impossible: List[Impossible] = []
     for ev in events:
         for s in states:

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from repro.protospec.model import ProtocolSpec
 from repro.protospec.synth import (
-    CacheTxn, Completion, HomeCompletion, HomeForward, HomeRule,
-    HomeServe, LocalRule, LostCopy, Reaction, StableCacheSide,
+    CacheTxn, Completion, HolderReaction, HomeCompletion, HomeForward,
+    HomeRule, HomeServe, LocalRule, LostCopy, Reaction, StableCacheSide,
     StableHomeSide, StableSpec, synthesize,
 )
 
@@ -147,7 +147,8 @@ def wi_stable() -> StableSpec:
                      "send:DIRTY_TRANSFER", "I",
                      note="ownership transfers cache-to-cache; "
                           "DIRTY_TRANSFER tells the home"),
-        ))
+        ),
+        holder_reactions=(HolderReaction("invalidate send:INV_ACK"),))
     dirty_done = HomeCompletion(
         "DIRTY_TRANSFER", "dir:=DIRTY", "D",
         note="ownership moved cache-to-cache")

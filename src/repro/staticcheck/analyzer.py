@@ -34,7 +34,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro.network.messages import MsgType
 from repro.protospec.model import (
-    ANY_STATE, LOCAL_PREFIX, ProtocolSpec, SideSpec,
+    ANY_STATE, LOCAL_PREFIX, ProtocolSpec, SideSpec, covered_pairs,
 )
 from repro.staticcheck.report import Finding
 
@@ -49,10 +49,7 @@ def _expand(side: SideSpec, state: str) -> Tuple[str, ...]:
 
 def _check_completeness(spec: ProtocolSpec, side: SideSpec,
                         out: List[Finding]) -> None:
-    covered: Set[Tuple[str, str]] = set()
-    for row in side.rows:
-        for s in _expand(side, row.state):
-            covered.add((s, row.event))
+    covered = covered_pairs(side.rows, side.states)
     declared_imp = {(i.state, i.event) for i in side.impossible}
     for event in side.message_events():
         for state in side.states:

@@ -51,6 +51,19 @@ Frame = namedtuple("Frame", "view side node block before event msg parts "
 _FIELDS = attrgetter(*Message.__slots__)
 
 
+#: the controller methods the recorder wraps: the local events' entry
+#: points and the home's retry
+_ENTRIES = (*LOCAL_EVENTS.values(), "_retry_txn")
+
+
+def _entry(name: str):
+    """The ``name`` method of a recorded controller class: it calls the
+    wrapper the recorder made for the controller it is called on."""
+    def call(ctrl, *args):
+        return ctrl.machine._recorded[ctrl.node][name](*args)
+    return call
+
+
 def _states(state) -> tuple:
     return tuple(sorted(state)) if isinstance(state, frozenset) \
         else (state,)
@@ -85,6 +98,8 @@ class RefinementCheck:
         self.findings: Dict[str, Finding] = {}
         self._stack: List[Optional[Frame]] = []
         self._verdicts: Dict[tuple, tuple] = {}
+        #: controller class -> its recorded subclass
+        self._classes: Dict[type, type] = {}
 
     @contextmanager
     def recording(self):
@@ -97,15 +112,33 @@ class RefinementCheck:
             init(machine, *args, **kwargs)
             opened: Dict[tuple, Frame] = {}     # rewound by restores
             machine.snapshot_containers.append(opened)
+            # The wrapped entry points are kept by the machine and
+            # called from a subclass of the controller's class (same
+            # name, one per class, so the handlers' attribute accesses
+            # stay monomorphic), not set on the controller: past 29
+            # instance attributes CPython 3.11 slows every attribute
+            # access on it.
+            machine._recorded = {}
             for ctrl in machine.controllers:
-                self._wrap(ctrl, machine.config.protocol.value, opened)
+                machine._recorded[ctrl.node] = self._wrap(
+                    ctrl, machine.config.protocol.value, opened)
+                cls = type(ctrl)
+                if cls not in self._classes:
+                    self._classes[cls] = type(cls.__name__, (cls,), {
+                        name: _entry(name) for name in _ENTRIES})
+                ctrl.__class__ = self._classes[cls]
+                # a class change leaves the instance a split dict, whose
+                # attribute loads CPython 3.11 does not specialize
+                ctrl.__dict__ = dict(vars(ctrl))
         Machine.__init__ = init_and_attach
         try:
             yield self
         finally:
             Machine.__init__ = init
 
-    def _wrap(self, ctrl, proto: str, opened: dict) -> None:
+    def _wrap(self, ctrl, proto: str, opened: dict) -> dict:
+        """Wrap ``ctrl``'s deliveries and sends in place; return its
+        wrapped entry points (``_ENTRIES``)."""
         stack, node = self._stack, ctrl.node
         home_events = set(get_spec(proto).home.events)
 
@@ -187,8 +220,8 @@ class RefinementCheck:
                     end(i)
             return stimulus
 
-        for event, name in LOCAL_EVENTS.items():
-            setattr(ctrl, name, local(event, getattr(ctrl, name)))
+        wrapped = {name: local(event, getattr(ctrl, name))
+                   for event, name in LOCAL_EVENTS.items()}
         send, release, retry = (ctrl._send, ctrl.directory.release,
                                 ctrl._retry_txn)
 
@@ -227,8 +260,9 @@ class RefinementCheck:
                     end(i)
             return ended
 
-        ctrl._send, ctrl.directory.release, ctrl._retry_txn = (
-            sent, txn_ends(release), txn_ends(retry))
+        ctrl._send, ctrl.directory.release = sent, txn_ends(release)
+        wrapped["_retry_txn"] = txn_ends(retry)
+        return wrapped
 
     def _finish(self, i: int, ctrl, line_code=None) -> None:
         f, self._stack[i] = self._stack[i], None

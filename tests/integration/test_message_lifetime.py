@@ -12,6 +12,7 @@ from repro.config import MachineConfig, Protocol
 from repro.isa.ops import Compute
 from repro.network import Message, Network
 from repro.runtime import Machine
+from repro.staticcheck.refinement import RefinementCheck
 from repro.sync.locks import make_lock
 
 #: the fields ``post`` writes: every Message slot but the wire size
@@ -79,9 +80,13 @@ def test_a_controller_sends_through_post_with_its_node_bound():
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
 def test_a_controller_has_at_most_29_attributes(protocol):
     # on CPython 3.11 a 30th instance attribute slows every attribute
-    # access on the controller (NodeCtrl.__init__)
+    # access on the controller (NodeCtrl.__init__), also while the
+    # refinement check records it
     machine = Machine(MachineConfig(num_procs=2, protocol=protocol))
     assert len(vars(machine.controllers[0])) <= 29
+    with RefinementCheck().recording():
+        recorded = Machine(MachineConfig(num_procs=2, protocol=protocol))
+    assert len(vars(recorded.controllers[0])) <= 29
 
 
 @pytest.mark.parametrize("protocol", [Protocol.WI, Protocol.PU],

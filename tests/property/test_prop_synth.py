@@ -3,8 +3,8 @@
 The author of a stable-state spec lists transactions, local rules,
 reactions, serves, forwards and home rules in whatever order reads
 best; nothing about that order is semantic.  So for every shuffled
-presentation of the WI and MESI stable specs the synthesizer must emit
-the same transition *relation*, and the result must pass every
+presentation of the WI, MESI, PU and CU stable specs the synthesizer
+must emit the same transition *relation*, and the result must pass every
 existing staticcheck pass: structural validation and the analyzer
 (completeness, contradiction, reachability, progress, vocabulary,
 routing)."""
@@ -15,10 +15,11 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.protospec import mesi_stable, synthesize, wi_stable
+from repro.protospec import mesi_stable, pu_stable, synthesize, wi_stable
 from repro.staticcheck import analyze_spec
 
-_STABLE = {"wi": wi_stable(), "mesi": mesi_stable()}
+_STABLE = {"wi": wi_stable(), "mesi": mesi_stable(), "pu": pu_stable(),
+           "cu": pu_stable(competitive=True)}
 _BASELINE = {name: synthesize(stable) for name, stable in _STABLE.items()}
 # impossible-entry *reasons* are generated prose that enumerates the
 # author's transients in authoring order, so compare pairs, not text
@@ -40,6 +41,8 @@ def _shuffled_stable(draw):
         local_rules=tuple(draw(st.permutations(cache.local_rules))),
         transactions=tuple(draw(st.permutations(cache.transactions))),
         reactions=tuple(draw(st.permutations(cache.reactions))),
+        holder_reactions=tuple(
+            draw(st.permutations(cache.holder_reactions))),
     )
     home = dataclasses.replace(
         home,

@@ -198,9 +198,9 @@ def _mutant_findings(name):
         ("wi-drop-inv-ack", "modelcheck/mutations.py", "protospec/wi.py"),
         ("wi-skip-invalidation", "protocols/wi.py", "protospec/wi.py"),
         ("pu-upd-prop-overwrite", "modelcheck/mutations.py",
-         "protospec/tables.py"),
+         "protospec/update.py"),
         ("cu-counter-stuck", "protocols/update.py",
-         "protospec/tables.py"))])
+         "protospec/update.py"))])
 def test_seeded_mutations_are_caught_by_the_refinement_check(
         mutation, handler, row):
     """Each mutant's witness program yields a refinement finding that
@@ -311,6 +311,19 @@ def test_cli_dump_specs_round_trips(tmp_path):
                  str(tmp_path)]) == 0
     dumped = ProtocolSpec.loads((tmp_path / "pu.json").read_text())
     assert dumped == get_spec("pu")
+
+
+def test_cli_synth_report_names_no_hand_written_table(capsys):
+    """WI, MESI, PU and CU are synthesized from stable specs, and
+    HYBRID is the merge of two of them."""
+    from repro.experiments.staticcheck import main
+
+    assert main(["--synth"]) == 0
+    out = capsys.readouterr().out
+    for proto in ("wi", "pu", "cu", "mesi"):
+        assert f"{proto}: synthesized from a stable-state spec" in out
+    assert "hybrid: the merge of the synthesized WI and CU tables" in out
+    assert "hand-written" not in out
 
 
 def test_modelcheck_cli_unknown_program_suggests(capsys):
